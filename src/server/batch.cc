@@ -1,9 +1,10 @@
 #include "server/batch.h"
 
-#include <cmath>
+#include <cstdint>
 #include <exception>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,133 +21,64 @@ struct BatchSeed {
   double radius = 0.0;
 };
 
-/// Nearest-radius seed among the batch's retained cold solves for
-/// `family`, never at an equal radius; later entries win ties (most
-/// recently solved) — the same selection rule FindAdaptableSeed applies to
-/// the memo, so the two sources can substitute for each other byte-for-
-/// byte.
-const BatchSeed* NearestBatchSeed(
-    const std::map<std::string, std::vector<BatchSeed>>& seeds,
-    const std::string& family, double radius) {
-  auto it = seeds.find(family);
-  if (it == seeds.end()) return nullptr;
-  const BatchSeed* best = nullptr;
-  for (const BatchSeed& seed : it->second) {
-    if (seed.radius == radius) continue;
-    if (best == nullptr || std::abs(seed.radius - radius) <=
-                               std::abs(best->radius - radius)) {
-      best = &seed;
-    }
-  }
-  return best;
-}
-
-/// The planner's seed selection for an adapt-eligible DIVERSIFY about to
-/// compute, memo first: in sequential execution every earlier cold solve
-/// of this family was memoized before this command ran, so consulting the
-/// memo here reproduces the per-command bytes AND the per-command
-/// flights_adapted accounting. The retained in-batch anchors only catch
-/// what the LRU already evicted.
-void SelectSeed(const CommandContext& ctx, ComputePlan* plan,
-                const std::map<std::string, std::vector<BatchSeed>>&
-                    batch_seeds) {
-  if (!plan->adapt || plan->seed != nullptr) return;
-  FlightOutcome seed;
-  double seed_radius = 0.0;
-  if (ctx.manager->FindAdaptableSeed(plan->adapt_family,
-                                     plan->diversify.radius, &seed,
-                                     &seed_radius)) {
-    plan->seed = std::move(seed.capsule);
-    plan->seed_radius = seed_radius;
-    return;
-  }
-  if (const BatchSeed* anchor = NearestBatchSeed(
-          batch_seeds, plan->adapt_family, plan->diversify.radius)) {
-    plan->seed = anchor->capsule;
-    plan->seed_radius = anchor->radius;
-  }
-}
-
 /// One coalescing-path compute (DIVERSIFY/ZOOM with preconditions already
-/// checked): the planner's seed selection plus the single-flight dance a
-/// per-command leader performs, minus the waiting — see the header on why
-/// a batch never parks behind another connection's flight.
+/// checked): the single-flight join a per-command request performs, minus
+/// the waiting — see the header on why a batch never parks behind another
+/// connection's flight — then the planner's seed selection and the shared
+/// leader path.
 std::string ExecutePlannedCompute(
     const CommandContext& ctx, ComputePlan plan, DiscEngine& engine,
     std::map<std::string, std::vector<BatchSeed>>* batch_seeds) {
-  if (plan.flight_key.empty()) {
-    // Not coalescable (own-cache hit or unpoolable engine; such plans are
-    // never adapt-eligible): same direct path as a per-command request.
-    return RunCompute(plan, engine).response;
-  }
-  FlightOutcome cached;
-  // The family advertisement is optimistic — the leader may yet find a
-  // seed and produce a (non-seedable) adapted outcome, in which case any
-  // adapt-follower that joined meanwhile falls back to a cold compute.
-  const FlightJoin join = ctx.manager->JoinFlight(
-      plan.flight_key, [](const FlightOutcome&) {}, &cached,
-      plan.adapt_family, plan.diversify.radius);
-  switch (join) {
-    case FlightJoin::kCached: {
-      if (cached.capsule != nullptr) {
-        const Status adopted = engine.AdoptSession(*cached.capsule);
-        if (!adopted.ok()) {
-          return SerializeError(VerbToString(plan.verb), adopted);
-        }
-      }
-      return cached.response;
+  if (!plan.flight_key.empty()) {
+    FlightOutcome cached;
+    // The family advertisement is optimistic — the leader may yet find a
+    // seed and produce a (non-seedable) adapted outcome, in which case any
+    // adapt-follower that joined meanwhile falls back to a cold compute.
+    const FlightJoin join = ctx.manager->JoinFlight(
+        plan.flight_key, [](const FlightOutcome&) {}, &cached,
+        plan.adapt_family, plan.diversify.radius);
+    if (join == FlightJoin::kCached) {
+      return AdoptOutcome(plan.verb, cached, engine);
     }
-    case FlightJoin::kFollower: {
+    if (join == FlightJoin::kFollower) {
       // Another connection is computing this key right now. Waiting would
       // park this worker (deadlock with a saturated pool), so compute on
-      // our own engine — equal flight keys guarantee identical bytes. The
-      // no-op waiter registered above fires later and touches nothing.
-      SelectSeed(ctx, &plan, *batch_seeds);
-      return RunCompute(plan, engine).response;
-    }
-    case FlightJoin::kLeader: {
-      SelectSeed(ctx, &plan, *batch_seeds);
-      if (plan.seed != nullptr) {
-        // The outcome will be adapted, hence non-seedable: withdraw the
-        // optimistic advertisement so no adapt-follower chains onto it.
-        ctx.manager->RetractAdaptFlight(plan.flight_key);
-      }
-      ComputeResult result;
-      FlightOutcome outcome;
-      try {
-        result = RunCompute(plan, engine);
-        outcome.response = result.response;
-        if (result.ok) {
-          outcome.capsule = std::make_shared<DiscEngine::SessionCapsule>(
-              engine.ExportSession());
-          if (result.seedable) {
-            outcome.adapt_family = plan.adapt_family;
-            outcome.radius = plan.diversify.radius;
-          }
-        }
-      } catch (...) {
-        // Keep the flight honest: followers get released with the same
-        // error line the per-command barrier would produce; the rethrow is
-        // caught by ExecuteBatch's per-command isolation.
-        outcome = FlightOutcome{};
-        outcome.response = SerializeError(
-            VerbToString(plan.verb),
-            Status::IOError("internal error during batch compute"));
-        ctx.manager->FinishFlight(plan.flight_key, std::move(outcome),
-                                  /*memoize=*/false);
-        throw;
-      }
-      ctx.manager->FinishFlight(plan.flight_key, outcome,
-                                /*memoize=*/result.ok);
-      if (result.seedable) {
-        (*batch_seeds)[plan.adapt_family].push_back(
-            BatchSeed{outcome.capsule, plan.diversify.radius});
-      }
-      return result.response;
+      // our own engine, outside the flight we do not lead — equal flight
+      // keys guarantee identical bytes. The no-op waiter registered above
+      // fires later and touches nothing.
+      plan.flight_key.clear();
     }
   }
-  return SerializeError(VerbToString(plan.verb),
-                        Status::InvalidArgument("unhandled flight join"));
+  // Memo first: in sequential execution every earlier cold solve of this
+  // family was memoized before this command ran, so consulting the memo
+  // reproduces the per-command bytes AND the per-command flights_adapted
+  // accounting. The retained in-batch anchors only catch what the LRU
+  // already evicted.
+  if (plan.adapt && !SeedFromMemo(*ctx.manager, &plan)) {
+    auto family = batch_seeds->find(plan.adapt_family);
+    if (family != batch_seeds->end()) {
+      const std::vector<BatchSeed>& anchors = family->second;
+      auto anchor = NearestSeed(
+          anchors.begin(), anchors.end(), plan.diversify.radius,
+          [&](const BatchSeed& seed) -> std::optional<SeedRank> {
+            return SeedRank{seed.radius,
+                            static_cast<uint64_t>(&seed - anchors.data())};
+          });
+      if (anchor != anchors.end()) {
+        plan.seed = anchor->capsule;
+        plan.seed_radius = anchor->radius;
+        // Adapted, hence non-seedable: withdraw the advertisement, as
+        // SeedFromMemo does.
+        ctx.manager->RetractAdaptFlight(plan.flight_key);
+      }
+    }
+  }
+  const FlightOutcome outcome = LeadFlight(*ctx.manager, plan, engine);
+  if (!outcome.adapt_family.empty()) {
+    (*batch_seeds)[plan.adapt_family].push_back(
+        BatchSeed{outcome.capsule, plan.diversify.radius});
+  }
+  return outcome.response;
 }
 
 }  // namespace
@@ -186,10 +118,9 @@ std::vector<std::string> ExecuteBatch(const CommandContext& ctx,
         }
       }
     } catch (const std::exception& e) {
-      // Per-command isolation: the same barrier line the transports emit,
-      // then on to the next command.
-      response = SerializeError(
-          "?", Status::IOError(std::string("internal error: ") + e.what()));
+      // Per-command isolation: the event loop's barrier line, then on to
+      // the next command.
+      response = InternalErrorLine(e);
     }
     responses.push_back(std::move(response));
   }

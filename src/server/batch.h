@@ -6,7 +6,7 @@
 // failing command yields its error line without aborting its siblings.
 // The contract the server tests pin: a batch's response lines are
 // byte-identical to issuing the same commands sequentially on the same
-// connection of the same transport.
+// connection.
 //
 // Behind that surface sits a planner (the coalescing variant): DIVERSIFY
 // commands are grouped by adapt family (pool key + algorithm + pruning —
@@ -16,11 +16,12 @@
 // anchor); every later family member at another radius is served through
 // DiscEngine::AdaptFrom — adopt the nearest-radius seed, zoom to the
 // requested radius — which the engine guarantees byte-identical to running
-// that chain cold. Seed selection mirrors the per-command path exactly
-// (SessionManager::FindAdaptableSeed: nearest radius, most recent on
-// ties), so the same commands produce the same bytes batched or not; the
-// retained in-batch anchors additionally guarantee the one-cold-solve
-// property even when the manager's memo LRU evicts under pressure.
+// that chain cold. Seeding, leading and adopting are the per-command
+// path's own steps (server/handlers.h: SeedFromMemo, LeadFlight,
+// AdoptOutcome), so the same commands produce the same bytes batched or
+// not; the retained in-batch anchors, ranked by the same NearestSeed rule
+// as the memo, additionally guarantee the one-cold-solve property even
+// when the manager's memo LRU evicts under pressure.
 //
 // Cold solves inside a batch still flow through the session manager's
 // single-flight table: they memoize, advertise their family, and fan out
@@ -42,13 +43,11 @@ namespace disc {
 /// Executes a batch's command lines in order against the connection state
 /// `lease` (mutated in place: an OPEN installs into it, a CLOSE releases
 /// it) and returns exactly one response line per command. `coalesce`
-/// selects the transport semantics: true for the event loop (planner +
-/// single-flight table + §5.2 adaptation, matching its per-command path),
-/// false for the blocking transport (plain sequential dispatch, always
-/// cold, matching ITS per-command path). Never throws: a command whose
-/// execution throws is answered with the same internal-error line the
-/// transports' per-command exception barriers produce, and its siblings
-/// still run.
+/// true is the event loop's semantics (planner + single-flight table +
+/// §5.2 adaptation, matching its per-command path); false is plain
+/// sequential dispatch through DispatchCommand, always cold. Never throws:
+/// a command whose execution throws is answered with InternalErrorLine,
+/// the event loop's per-command barrier line, and its siblings still run.
 std::vector<std::string> ExecuteBatch(const CommandContext& ctx,
                                       const std::vector<std::string>& lines,
                                       EngineLease* lease, bool coalesce);

@@ -1,4 +1,4 @@
-// The epoll event-loop transport (ServeLoop::kEventLoop).
+// The epoll event loop: disc_serve's transport (DiscServer::Start).
 //
 // One loop thread owns every connection: non-blocking sockets registered
 // edge-triggered, a per-connection read buffer split into protocol lines,
@@ -18,25 +18,29 @@
 // pipelined lines queue in order and the next one starts only after the
 // previous completion.
 //
+// Requests: the shared pipeline of server/handlers.h answers every command
+// that needs no engine job (DispatchFastPath); only OPEN admission and
+// compute dispatch are this file's own.
+//
 // Coalescing: a DIVERSIFY/ZOOM whose flight key (server/handlers.h) is
 // already in the session manager's single-flight table attaches a waiter
 // instead of dispatching a job. The leader computes once, exports a
 // session capsule, and FinishFlight fans the byte-identical response line
-// to every waiter; each waiter adopts the capsule into its own engine so
-// its subsequent zoom chain stays valid. Completed flights are memoized in
-// the manager, so a request arriving just after the flight finished still
-// coalesces instead of recomputing.
+// to every waiter (LeadFlight); each waiter adopts the capsule into its own
+// engine so its subsequent zoom chain stays valid (AdoptOutcome).
+// Completed flights are memoized in the manager, so a request arriving
+// just after the flight finished still coalesces instead of recomputing.
 //
 // Backpressure, outermost first:
 //  * admission control: at most max_inflight executing + max_pending
-//    queued jobs; beyond that a request is answered with a BUSY error
-//    line (flight followers and capsule adoptions are exempt — they
-//    consume no compute slot);
+//    queued jobs (OPEN builds, leader computations and BATCH frames);
+//    beyond that a request is answered with a BUSY error line (flight
+//    followers and memo hits are exempt — they consume no compute slot);
 //  * pipelining cap: a connection with kMaxQueuedLines parsed-but-
 //    unserved lines stops being read — bytes back up into the kernel
 //    buffer and TCP flow control stalls the client until we catch up;
 //  * read cap: kMaxLineBytes without a newline tears the connection down
-//    (same memory-DoS rule as the blocking transport's LineChannel);
+//    (same memory-DoS rule as LineChannel);
 //  * write cap: a client that never reads accumulates responses until
 //    kMaxOutBytes, then is torn down.
 //
@@ -54,7 +58,7 @@
 //
 // Radius-aware coalescing (§5.2): a DIVERSIFY with adapt=true whose flight
 // leads consults the session manager's radius-aware memo
-// (FindAdaptableSeed) — a memoized DIVERSIFY outcome in the same family
+// (SeedFromMemo) — a memoized DIVERSIFY outcome in the same family
 // (pool key + algorithm + pruning) at a different radius seeds the
 // computation: the leader adopts the seed's capsule and zooms to the
 // requested radius (DiscEngine::AdaptFrom), byte-identical to running that
@@ -112,7 +116,6 @@
 #include "server/server.h"
 
 namespace disc {
-namespace internal {
 namespace {
 
 /// Same no-newline memory cap as LineChannel.
@@ -132,6 +135,8 @@ class EventLoopServer final : public DiscServer {
  public:
   explicit EventLoopServer(ServerOptions options)
       : DiscServer(std::move(options)),
+        ctx_{&manager_, options_.engine_threads, options_.default_backend,
+             options_.max_exact_points},
         max_inflight_(options_.max_inflight == 0 ? options_.workers
                                                  : options_.max_inflight) {}
 
@@ -237,13 +242,14 @@ class EventLoopServer final : public DiscServer {
   };
 
   struct Job {
-    enum class Kind { kOpen, kCompute, kLeader, kAdopt, kBatch };
+    /// kCompute runs LeadFlight: it leads the plan's flight, or computes
+    /// alone when the plan has no flight key.
+    enum class Kind { kOpen, kCompute, kAdopt, kBatch };
     Kind kind = Kind::kCompute;
     uint64_t conn_id = 0;
     Request request;                // kOpen
-    ComputePlan plan;               // kCompute / kLeader
-    DiscEngine* engine = nullptr;   // kCompute / kLeader / kAdopt
-    std::string flight_key;         // kLeader
+    ComputePlan plan;               // kCompute (kAdopt: only the verb)
+    DiscEngine* engine = nullptr;   // kCompute / kAdopt
     FlightOutcome outcome;          // kAdopt
     std::vector<std::string> batch;  // kBatch: the command lines
     /// kBatch: the connection's lease, mutated in place (OPEN installs,
@@ -259,7 +265,7 @@ class EventLoopServer final : public DiscServer {
     EngineLease lease;       // valid => install (a successful OPEN)
     bool is_batch = false;
     bool coalesced = false;  // produced by another connection's flight
-    bool counts = false;     // consumed an admission slot
+    bool counts = false;     // held an admission slot (TakesSlot)
   };
 
   // ---- loop thread ----
@@ -386,8 +392,8 @@ class EventLoopServer final : public DiscServer {
         continue;
       }
       if (got == 0) {
-        // EOF: the lines already received still get answers (matching the
-        // blocking transport); the partial tail, if any, is dropped.
+        // EOF: the lines already received still get answers; the partial
+        // tail, if any, is dropped.
         conn->no_more_input = true;
         return;
       }
@@ -610,11 +616,9 @@ class EventLoopServer final : public DiscServer {
       try {
         HandleLine(conn, line);
       } catch (const std::exception& e) {
-        // Same barrier as the blocking transport: a stray exception must
-        // not take down the loop thread (and with it the whole daemon).
-        Respond(conn, SerializeError("?", Status::IOError(
-                                              std::string("internal error: ") +
-                                              e.what())));
+        // A stray exception must not take down the loop thread (and with
+        // it the whole daemon).
+        Respond(conn, InternalErrorLine(e));
       }
     }
   }
@@ -625,80 +629,32 @@ class EventLoopServer final : public DiscServer {
       Respond(conn, SerializeError("?", request.status()));
       return;
     }
-    const char* cmd = VerbToString(request->verb);
-    switch (request->verb) {
-      case Verb::kOpen: {
-        if (conn->lease.valid()) {
-          Respond(conn,
-                  SerializeError(
-                      cmd, Status::FailedPrecondition(
-                               "a session is already open on this "
-                               "connection; CLOSE it first")));
-          return;
-        }
-        if (!Admit()) {
-          RejectBusy(conn, cmd);
-          return;
-        }
-        Job job;
-        job.kind = Job::Kind::kOpen;
-        job.conn_id = conn->id;
-        job.request = std::move(*request);
-        Dispatch(conn, std::move(job));
-        return;
-      }
-      case Verb::kDiversify:
-      case Verb::kZoom: {
-        if (!conn->lease.valid()) {
-          Respond(conn, SerializeError(cmd, Status::FailedPrecondition(
-                                                "no session open; OPEN "
-                                                "first")));
-          return;
-        }
-        Result<ComputePlan> plan = PlanCompute(*request, conn->lease);
-        if (!plan.ok()) {
-          Respond(conn, SerializeError(cmd, plan.status()));
-          return;
-        }
-        DispatchCompute(conn, std::move(*plan));
-        return;
-      }
-      case Verb::kStats: {
-        // Cheap and engine-read-only; the conn is not busy, so the loop
-        // thread is the only toucher of this engine right now.
-        if (!conn->lease.valid()) {
-          Respond(conn, SerializeError(cmd, Status::FailedPrecondition(
-                                                "no session open; OPEN "
-                                                "first")));
-          return;
-        }
-        Respond(conn, SerializeSnapshot(conn->lease.engine().Snapshot()));
-        return;
-      }
-      case Verb::kClose: {
-        if (!conn->lease.valid()) {
-          Respond(conn, SerializeError(
-                            cmd, Status::FailedPrecondition(
-                                     "no session open")));
-          return;
-        }
-        conn->lease.Release();
-        Respond(conn, SerializeClose());
-        return;
-      }
-      case Verb::kBatch: {
-        // Unreachable in practice — AddLine intercepts BATCH envelopes
-        // before they become pending commands — but mirror the shared
-        // pipeline's nested-BATCH answer for robustness.
-        Respond(conn, SerializeError(
-                          cmd, Status::InvalidArgument(
-                                   "BATCH is a framing envelope and "
-                                   "cannot be nested")));
-        return;
-      }
+    // Preconditions, STATS, CLOSE and a stray BATCH: the conn is not busy,
+    // so the loop thread is the only toucher of its lease right now.
+    std::string response;
+    if (DispatchFastPath(ctx_, *request, &conn->lease, &response)) {
+      Respond(conn, response);
+      return;
     }
-    Respond(conn, SerializeError(cmd, Status::InvalidArgument(
-                                          "unhandled verb")));
+    const char* cmd = VerbToString(request->verb);
+    if (request->verb == Verb::kOpen) {
+      if (!Admit()) {
+        RejectBusy(conn, cmd);
+        return;
+      }
+      Job job;
+      job.kind = Job::Kind::kOpen;
+      job.conn_id = conn->id;
+      job.request = std::move(*request);
+      Dispatch(conn, std::move(job));
+      return;
+    }
+    Result<ComputePlan> plan = PlanCompute(*request, conn->lease);
+    if (!plan.ok()) {
+      Respond(conn, SerializeError(cmd, plan.status()));
+      return;
+    }
+    DispatchCompute(conn, std::move(*plan));
   }
 
   /// Dispatches a complete batch as ONE job: the envelope buys one
@@ -723,114 +679,81 @@ class EventLoopServer final : public DiscServer {
   void DispatchCompute(Conn* conn, ComputePlan plan) {
     DiscEngine* engine = &conn->lease.engine();
     const char* cmd = VerbToString(plan.verb);
-    if (plan.flight_key.empty()) {
+    Job job;
+    job.conn_id = conn->id;
+    job.engine = engine;
+    if (!plan.flight_key.empty()) {
+      // Mark busy BEFORE JoinFlight: a follower's waiter may fire from the
+      // leader's thread at any moment after registration, and it touches
+      // this conn's engine.
+      conn->busy = true;
+      FlightOutcome cached;
+      const uint64_t conn_id = conn->id;
+      const Verb verb = plan.verb;
+      // The trailing arguments advertise this flight to JoinAdaptFollower
+      // (meaningful only if we lead; empty family for ZOOM and non-DisC
+      // plans). Optimistic: if the leader itself finds a seed below, it
+      // retracts the advertisement — its outcome will be adapted, hence
+      // not seedable.
+      const FlightJoin join = manager_.JoinFlight(
+          plan.flight_key,
+          [this, conn_id, engine, verb](const FlightOutcome& outcome) {
+            AdoptAndComplete(conn_id, engine, verb, outcome);
+          },
+          &cached, plan.adapt_family, plan.diversify.radius);
+      if (join == FlightJoin::kFollower) return;  // the waiter owns the rest
+      if (join == FlightJoin::kCached) {
+        // Adoption is O(n); run it on a worker like everything else that
+        // touches an engine. No computation, so no admission slot.
+        job.kind = Job::Kind::kAdopt;
+        job.plan.verb = verb;
+        job.outcome = std::move(cached);
+        Dispatch(conn, std::move(job));
+        return;
+      }
+      if (!Admit()) {
+        // The flight exists but its computation was refused: finish it
+        // with the BUSY line so any follower that squeezed in gets the
+        // same answer instead of waiting forever.
+        conn->busy = false;
+        const std::string busy = BusyLine(cmd);
+        FlightOutcome refused;
+        refused.response = busy;
+        manager_.FinishFlight(plan.flight_key, std::move(refused),
+                              /*memoize=*/false);
+        busy_rejections_.fetch_add(1);
+        Respond(conn, busy);
+        return;
+      }
+      // Radius-aware coalescing (§5.2): a memoized DIVERSIFY in the same
+      // family at a different radius seeds this computation — the leader
+      // adopts its capsule and zooms instead of computing cold.
+      if (plan.adapt && !SeedFromMemo(manager_, &plan) &&
+          manager_.JoinAdaptFollower(
+              plan.adapt_family, plan.diversify.radius,
+              [this, conn_id, engine, plan](const FlightOutcome& outcome) {
+                AdaptFollowerComplete(conn_id, engine, plan, outcome);
+              })) {
+        // Proactive §5.2 adaptation ACROSS requests: a flight in the same
+        // family at another radius is in the air right now. We stay the
+        // leader of OUR flight (same-key requests keep coalescing onto us)
+        // but run nothing: when that leader finishes,
+        // AdaptFollowerComplete — on its thread, exempt from admission
+        // like any follower — adapts its capsule to our radius and
+        // finishes our flight. Our own advertisement is retracted for the
+        // same reason as the memo-seed path.
+        manager_.RetractAdaptFlight(plan.flight_key);
+        return;  // conn stays busy until the waiter's completion
+      }
+    } else if (!Admit()) {
       // Not coalescable (own-cache hit or unpoolable engine): a plain
       // compute job, still subject to admission.
-      if (!Admit()) {
-        RejectBusy(conn, cmd);
-        return;
-      }
-      Job job;
-      job.kind = Job::Kind::kCompute;
-      job.conn_id = conn->id;
-      job.plan = std::move(plan);
-      job.engine = engine;
-      Dispatch(conn, std::move(job));
+      RejectBusy(conn, cmd);
       return;
     }
-    // Mark busy BEFORE JoinFlight: a follower's waiter may fire from the
-    // leader's thread at any moment after registration, and it touches
-    // this conn's engine.
-    conn->busy = true;
-    FlightOutcome cached;
-    const uint64_t conn_id = conn->id;
-    const Verb verb = plan.verb;
-    // The trailing arguments advertise this flight to JoinAdaptFollower
-    // (meaningful only if we lead; empty family for ZOOM and non-DisC
-    // plans). Optimistic: if the leader itself finds a seed below, it
-    // retracts the advertisement — its outcome will be adapted, hence not
-    // seedable.
-    const FlightJoin join = manager_.JoinFlight(
-        plan.flight_key,
-        [this, conn_id, engine, verb](const FlightOutcome& outcome) {
-          AdoptAndComplete(conn_id, engine, verb, outcome);
-        },
-        &cached, plan.adapt_family, plan.diversify.radius);
-    switch (join) {
-      case FlightJoin::kLeader: {
-        if (!Admit()) {
-          // The flight exists but its computation was refused: finish it
-          // with the BUSY line so any follower that squeezed in gets the
-          // same answer instead of waiting forever.
-          conn->busy = false;
-          const std::string busy = BusyLine(cmd);
-          FlightOutcome refused;
-          refused.response = busy;
-          manager_.FinishFlight(plan.flight_key, std::move(refused),
-                                /*memoize=*/false);
-          busy_rejections_.fetch_add(1);
-          Respond(conn, busy);
-          return;
-        }
-        if (plan.adapt) {
-          // Radius-aware coalescing (§5.2): a memoized DIVERSIFY in the
-          // same family at a different radius seeds this computation —
-          // the leader will adopt its capsule and zoom instead of
-          // computing cold.
-          FlightOutcome seed;
-          double seed_radius = 0.0;
-          if (manager_.FindAdaptableSeed(plan.adapt_family,
-                                         plan.diversify.radius, &seed,
-                                         &seed_radius)) {
-            plan.seed = std::move(seed.capsule);
-            plan.seed_radius = seed_radius;
-            manager_.RetractAdaptFlight(plan.flight_key);
-          } else if (manager_.JoinAdaptFollower(
-                         plan.adapt_family, plan.diversify.radius,
-                         [this, conn_id, engine,
-                          plan](const FlightOutcome& outcome) {
-                           AdaptFollowerComplete(conn_id, engine, plan,
-                                                 outcome);
-                         })) {
-            // Proactive §5.2 adaptation ACROSS requests: a flight in the
-            // same family at another radius is in the air right now. We
-            // stay the leader of OUR flight (same-key requests keep
-            // coalescing onto us) but run nothing: when that leader
-            // finishes, AdaptFollowerComplete — on its thread, exempt
-            // from admission like any follower — adapts its capsule to
-            // our radius and finishes our flight. Our own advertisement
-            // is retracted for the same reason as the memo-seed path.
-            manager_.RetractAdaptFlight(plan.flight_key);
-            return;  // conn stays busy until the waiter's completion
-          }
-        }
-        Job job;
-        job.kind = Job::Kind::kLeader;
-        job.conn_id = conn->id;
-        job.flight_key = std::move(plan.flight_key);
-        job.plan = std::move(plan);
-        job.engine = engine;
-        conn->busy = false;  // Dispatch re-marks it
-        Dispatch(conn, std::move(job));
-        return;
-      }
-      case FlightJoin::kFollower:
-        // Nothing to do: the waiter owns the rest.
-        return;
-      case FlightJoin::kCached: {
-        // Adoption is O(n); run it on a worker like everything else that
-        // touches an engine. Exempt from admission — no computation.
-        Job job;
-        job.kind = Job::Kind::kAdopt;
-        job.conn_id = conn->id;
-        job.plan.verb = verb;
-        job.engine = engine;
-        job.outcome = std::move(cached);
-        conn->busy = false;  // Dispatch re-marks it
-        Dispatch(conn, std::move(job));
-        return;
-      }
-    }
+    job.kind = Job::Kind::kCompute;
+    job.plan = std::move(plan);
+    Dispatch(conn, std::move(job));
   }
 
   /// Admission check: executing + queued jobs against the configured
@@ -850,9 +773,16 @@ class EventLoopServer final : public DiscServer {
     Respond(conn, BusyLine(cmd));
   }
 
+  /// Whether a job holds an admission slot from Dispatch until its
+  /// completion: every job but a memo hit's adoption, which computes
+  /// nothing. The single decision both ends of the count consult.
+  static bool TakesSlot(const Job& job) {
+    return job.kind != Job::Kind::kAdopt;
+  }
+
   void Dispatch(Conn* conn, Job job) {
     conn->busy = true;
-    ++jobs_in_system_;
+    if (TakesSlot(job)) ++jobs_in_system_;
     {
       std::lock_guard<std::mutex> lock(work_mutex_);
       jobs_.push_back(std::move(job));
@@ -1041,86 +971,39 @@ class EventLoopServer final : public DiscServer {
   }
 
   void ExecuteJob(Job& job) {
-    const CommandContext ctx{&manager_, options_.engine_threads,
-                             options_.default_backend,
-                             options_.max_exact_points};
     Completion completion;
     completion.conn_id = job.conn_id;
-    completion.counts = job.kind != Job::Kind::kAdopt;
+    completion.counts = TakesSlot(job);
     try {
       switch (job.kind) {
         case Job::Kind::kOpen: {
           EngineLease lease;
-          completion.response = ExecuteOpen(ctx, job.request, &lease);
+          completion.response = ExecuteOpen(ctx_, job.request, &lease);
           completion.lease = std::move(lease);
           break;
         }
-        case Job::Kind::kCompute: {
+        case Job::Kind::kCompute:
           completion.response =
-              RunCompute(job.plan, *job.engine).response;
+              LeadFlight(manager_, job.plan, *job.engine).response;
           break;
-        }
-        case Job::Kind::kLeader: {
-          const ComputeResult result = RunCompute(job.plan, *job.engine);
-          FlightOutcome outcome;
-          outcome.response = result.response;
-          if (result.ok) {
-            outcome.capsule = std::make_shared<DiscEngine::SessionCapsule>(
-                job.engine->ExportSession());
-            if (result.seedable) {
-              // A cold DisC-family DIVERSIFY: its capsule can seed
-              // adapted answers at other radii in this family.
-              outcome.adapt_family = job.plan.adapt_family;
-              outcome.radius = job.plan.diversify.radius;
-            }
-          }
-          manager_.FinishFlight(job.flight_key, std::move(outcome),
-                                /*memoize=*/result.ok);
-          completion.response = result.response;
-          break;
-        }
-        case Job::Kind::kAdopt: {
-          completion.response = AdoptOutcome(job.engine, job.plan.verb,
-                                             job.outcome);
+        case Job::Kind::kAdopt:
+          completion.response =
+              AdoptOutcome(job.plan.verb, job.outcome, *job.engine);
           completion.coalesced = true;
           break;
-        }
-        case Job::Kind::kBatch: {
+        case Job::Kind::kBatch:
           // ExecuteBatch never throws (per-command isolation happens
           // inside it) and finishes every flight it leads.
-          completion.batch = ExecuteBatch(ctx, job.batch, job.lease,
+          completion.batch = ExecuteBatch(ctx_, job.batch, job.lease,
                                           /*coalesce=*/true);
           completion.is_batch = true;
           break;
-        }
       }
     } catch (const std::exception& e) {
-      // Keep the flight honest even when the leader's computation threw:
-      // followers must be released with the same error line.
-      completion.response = SerializeError(
-          "?",
-          Status::IOError(std::string("internal error: ") + e.what()));
-      if (job.kind == Job::Kind::kLeader) {
-        FlightOutcome failed;
-        failed.response = completion.response;
-        manager_.FinishFlight(job.flight_key, std::move(failed),
-                              /*memoize=*/false);
-      }
+      // LeadFlight has already released the flight's followers.
+      completion.response = InternalErrorLine(e);
     }
     PushCompletion(std::move(completion));
-  }
-
-  /// Installs a flight outcome into a follower/memo-hit engine and returns
-  /// the line to send.
-  std::string AdoptOutcome(DiscEngine* engine, Verb verb,
-                           const FlightOutcome& outcome) {
-    if (outcome.capsule != nullptr) {
-      const Status adopted = engine->AdoptSession(*outcome.capsule);
-      if (!adopted.ok()) {
-        return SerializeError(VerbToString(verb), adopted);
-      }
-    }
-    return outcome.response;
   }
 
   /// The follower waiter: runs on the leader's worker thread. The conn is
@@ -1131,13 +1014,10 @@ class EventLoopServer final : public DiscServer {
     Completion completion;
     completion.conn_id = conn_id;
     completion.coalesced = true;
-    completion.counts = false;
     try {
-      completion.response = AdoptOutcome(engine, verb, outcome);
+      completion.response = AdoptOutcome(verb, outcome, *engine);
     } catch (const std::exception& e) {
-      completion.response = SerializeError(
-          VerbToString(verb),
-          Status::IOError(std::string("internal error: ") + e.what()));
+      completion.response = InternalErrorLine(e);
     }
     PushCompletion(std::move(completion));
   }
@@ -1146,47 +1026,26 @@ class EventLoopServer final : public DiscServer {
   /// leads its own flight but registered as an adapt-follower of an
   /// in-flight family leader at another radius instead of computing cold.
   /// Runs on that leader's worker thread once it finishes: when the
-  /// leader's outcome is a seedable cold solve, adopt its capsule and zoom
-  /// to our radius (DiscEngine::AdaptFrom — one computation instead of
-  /// two); otherwise (leader failed, or itself adapted) compute cold. Then
-  /// finish OUR flight so same-key followers and the memo see the result.
-  /// Exempt from admission like any follower — the work rides the leader's
-  /// slot.
+  /// leader's outcome is a seedable cold solve, its capsule seeds our
+  /// computation (DiscEngine::AdaptFrom — one computation instead of two);
+  /// otherwise (leader failed, or itself adapted) we compute cold. Either
+  /// way LeadFlight finishes OUR flight so same-key followers and the memo
+  /// see the result. Exempt from admission like any follower — the work
+  /// rides the leader's slot.
   void AdaptFollowerComplete(uint64_t conn_id, DiscEngine* engine,
                              ComputePlan plan,
                              const FlightOutcome& leader) {
+    if (leader.capsule != nullptr && !leader.adapt_family.empty()) {
+      plan.seed = leader.capsule;
+      plan.seed_radius = leader.radius;
+    }
     Completion completion;
     completion.conn_id = conn_id;
     completion.coalesced = true;
-    completion.counts = false;
     try {
-      if (leader.capsule != nullptr && !leader.adapt_family.empty()) {
-        plan.seed = leader.capsule;
-        plan.seed_radius = leader.radius;
-      }
-      const ComputeResult result = RunCompute(plan, *engine);
-      FlightOutcome outcome;
-      outcome.response = result.response;
-      if (result.ok) {
-        outcome.capsule = std::make_shared<DiscEngine::SessionCapsule>(
-            engine->ExportSession());
-        if (result.seedable) {
-          // The cold-fallback path can itself seed later adaptations.
-          outcome.adapt_family = plan.adapt_family;
-          outcome.radius = plan.diversify.radius;
-        }
-      }
-      manager_.FinishFlight(plan.flight_key, std::move(outcome),
-                            /*memoize=*/result.ok);
-      completion.response = result.response;
+      completion.response = LeadFlight(manager_, plan, *engine).response;
     } catch (const std::exception& e) {
-      completion.response = SerializeError(
-          VerbToString(plan.verb),
-          Status::IOError(std::string("internal error: ") + e.what()));
-      FlightOutcome failed;
-      failed.response = completion.response;
-      manager_.FinishFlight(plan.flight_key, std::move(failed),
-                            /*memoize=*/false);
+      completion.response = InternalErrorLine(e);
     }
     PushCompletion(std::move(completion));
   }
@@ -1211,6 +1070,7 @@ class EventLoopServer final : public DiscServer {
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event);
   }
 
+  const CommandContext ctx_;
   const size_t max_inflight_;
 
   int epoll_fd_ = -1;
@@ -1246,12 +1106,13 @@ class EventLoopServer final : public DiscServer {
 
 }  // namespace
 
-Result<std::unique_ptr<DiscServer>> StartEventLoopServer(
-    ServerOptions options) {
+Result<std::unique_ptr<DiscServer>> DiscServer::Start(ServerOptions options) {
+  if (options.workers == 0) {
+    return Status::InvalidArgument("workers must be positive");
+  }
   auto server = std::make_unique<EventLoopServer>(std::move(options));
   DISC_RETURN_NOT_OK(server->Run());
   return std::unique_ptr<DiscServer>(std::move(server));
 }
 
-}  // namespace internal
 }  // namespace disc

@@ -1,5 +1,7 @@
 #include "server/handlers.h"
 
+#include <exception>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -157,6 +159,65 @@ ComputeResult RunCompute(const ComputePlan& plan, DiscEngine& engine) {
   return result;
 }
 
+FlightOutcome LeadFlight(SessionManager& manager, const ComputePlan& plan,
+                         DiscEngine& engine) {
+  FlightOutcome outcome;
+  if (plan.flight_key.empty()) {
+    outcome.response = RunCompute(plan, engine).response;
+    return outcome;
+  }
+  ComputeResult result;
+  try {
+    result = RunCompute(plan, engine);
+  } catch (const std::exception& e) {
+    // Keep the flight honest: followers are released with the same line
+    // the caller's exception barrier answers this request with.
+    outcome.response = InternalErrorLine(e);
+    manager.FinishFlight(plan.flight_key, std::move(outcome),
+                         /*memoize=*/false);
+    throw;
+  }
+  outcome.response = std::move(result.response);
+  if (result.ok) {
+    outcome.capsule = std::make_shared<DiscEngine::SessionCapsule>(
+        engine.ExportSession());
+    if (result.seedable) {
+      // A cold DisC-family DIVERSIFY: its capsule can seed adapted answers
+      // at other radii in this family.
+      outcome.adapt_family = plan.adapt_family;
+      outcome.radius = plan.diversify.radius;
+    }
+  }
+  manager.FinishFlight(plan.flight_key, outcome, /*memoize=*/result.ok);
+  return outcome;
+}
+
+std::string AdoptOutcome(Verb verb, const FlightOutcome& outcome,
+                         DiscEngine& engine) {
+  if (outcome.capsule != nullptr) {
+    const Status adopted = engine.AdoptSession(*outcome.capsule);
+    if (!adopted.ok()) return SerializeError(VerbToString(verb), adopted);
+  }
+  return outcome.response;
+}
+
+bool SeedFromMemo(SessionManager& manager, ComputePlan* plan) {
+  if (!plan->adapt || plan->seed != nullptr) return false;
+  FlightOutcome seed;
+  if (!manager.FindAdaptableSeed(plan->adapt_family, plan->diversify.radius,
+                                 &seed, &plan->seed_radius)) {
+    return false;
+  }
+  plan->seed = std::move(seed.capsule);
+  manager.RetractAdaptFlight(plan->flight_key);
+  return true;
+}
+
+std::string InternalErrorLine(const std::exception& error) {
+  return SerializeError(
+      "?", Status::IOError(std::string("internal error: ") + error.what()));
+}
+
 bool DispatchFastPath(const CommandContext& ctx, const Request& request,
                       EngineLease* lease, std::string* response) {
   (void)ctx;
@@ -224,13 +285,6 @@ std::string DispatchCommand(const CommandContext& ctx, const Request& request,
     return SerializeError(VerbToString(request.verb), plan.status());
   }
   return RunCompute(*plan, lease->engine()).response;
-}
-
-std::string ExecuteLine(const CommandContext& ctx, const std::string& line,
-                        EngineLease* lease) {
-  Result<Request> request = ParseRequest(line);
-  if (!request.ok()) return SerializeError("?", request.status());
-  return DispatchCommand(ctx, *request, lease);
 }
 
 }  // namespace disc

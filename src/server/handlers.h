@@ -1,18 +1,19 @@
-// Shared per-verb execution for the two DiscServer transports.
+// Per-verb execution shared by the event loop and the batch executor.
 //
-// The blocking transport consumes ExecuteLine wholesale (parse, dispatch,
-// run, serialize — one call per request line). The event loop needs the
-// pieces individually so it can thread the single-flight table between
-// them: PlanCompute derives a request's coalescing key *before* any engine
-// work, and RunCompute is what a flight leader executes on a worker
-// thread. Keeping both transports on these functions is what guarantees a
-// coalesced response is byte-identical to the blocking server's answer for
-// the same request.
+// The event loop needs the pieces of a request individually so it can
+// thread the single-flight table between them: DispatchFastPath answers
+// everything that needs no engine job, PlanCompute derives a request's
+// coalescing key *before* any engine work, and LeadFlight / AdoptOutcome /
+// SeedFromMemo are the coalescing steps a worker or a flight waiter runs.
+// The batch planner (server/batch.h) composes the same functions, which is
+// what keeps a coalesced, adapted or batched response byte-identical to a
+// plain computation of the same request.
 
 #ifndef DISC_SERVER_HANDLERS_H_
 #define DISC_SERVER_HANDLERS_H_
 
 #include <cstddef>
+#include <exception>
 #include <memory>
 #include <string>
 
@@ -71,9 +72,10 @@ struct ComputePlan {
   /// every coalescable DisC-family DIVERSIFY — it marks the outcome as a
   /// future adaptation seed even when this client did not ask to adapt.
   std::string adapt_family;
-  /// Filled by the event loop when the session manager holds an adaptable
-  /// outcome: RunCompute then adopts the capsule and zooms to the request
-  /// radius (DiscEngine::AdaptFrom) instead of computing cold.
+  /// Filled when an adaptable outcome exists (SeedFromMemo, an in-flight
+  /// family leader, or a batch anchor): RunCompute then adopts the capsule
+  /// and zooms to the request radius (DiscEngine::AdaptFrom) instead of
+  /// computing cold.
   std::shared_ptr<DiscEngine::SessionCapsule> seed;
   double seed_radius = 0.0;
 };
@@ -85,7 +87,7 @@ Result<ComputePlan> PlanCompute(const Request& request, EngineLease& lease);
 
 /// What a computation produced: the full response line (success or error)
 /// and whether the engine call succeeded — when true, the engine's session
-/// now encodes the result and ExportSession() is meaningful.
+/// now encodes the result, so LeadFlight can export it.
 struct ComputeResult {
   std::string response;
   bool ok = false;
@@ -97,6 +99,38 @@ struct ComputeResult {
 
 /// Runs the planned computation on `engine` and serializes the outcome.
 ComputeResult RunCompute(const ComputePlan& plan, DiscEngine& engine);
+
+/// The one flight-leader path: RunCompute, then FinishFlight on
+/// `plan.flight_key` with the response and — when the computation
+/// succeeded — the exported session capsule, stamped with the plan's
+/// adapt family and radius when the result is seedable; memoized iff it
+/// succeeded. If the computation throws, the flight is finished with
+/// InternalErrorLine (so its followers are released) and the exception is
+/// rethrown. With an empty flight key this is RunCompute alone. Returns
+/// the outcome the flight finished with (for an empty key: the response
+/// only).
+FlightOutcome LeadFlight(SessionManager& manager, const ComputePlan& plan,
+                         DiscEngine& engine);
+
+/// The one adopt path for a coalesced answer (a flight follower or a memo
+/// hit): installs the outcome's capsule, when it has one, into `engine` so
+/// the session's zoom chain stays valid, and returns the line to send —
+/// the outcome's response, or the adoption's error line under `verb`.
+std::string AdoptOutcome(Verb verb, const FlightOutcome& outcome,
+                         DiscEngine& engine);
+
+/// §5.2 seeding from the memo: for an adapt-eligible plan without a seed,
+/// looks up the nearest memoized outcome in its family
+/// (SessionManager::FindAdaptableSeed). On a hit, installs it as the
+/// plan's seed and withdraws the plan's flight from adapt-follower
+/// matching (RetractAdaptFlight) — the outcome will be adapted, hence not
+/// seedable — and returns true.
+bool SeedFromMemo(SessionManager& manager, ComputePlan* plan);
+
+/// The error line every exception barrier answers with: the library is
+/// Status-based and should never throw, so this only catches strays such
+/// as bad_alloc under memory pressure.
+std::string InternalErrorLine(const std::exception& error);
 
 /// The synchronous half of per-command dispatch, shared verbatim by the
 /// line, HTTP, and batch paths: answers every command that needs no engine
@@ -111,16 +145,10 @@ bool DispatchFastPath(const CommandContext& ctx, const Request& request,
 
 /// The complete per-command request->handler->response pipeline with no
 /// coalescing: DispatchFastPath, else ExecuteOpen / PlanCompute+RunCompute
-/// inline. The single entry point the blocking transport and the batch
-/// executor's sequential path consume; the event loop composes
-/// DispatchFastPath with its own job dispatch instead.
+/// inline. The batch executor's sequential (coalesce=false) path; the
+/// event loop composes DispatchFastPath with its own job dispatch instead.
 std::string DispatchCommand(const CommandContext& ctx, const Request& request,
                             EngineLease* lease);
-
-/// ParseRequest + DispatchCommand: the complete request path for one raw
-/// line. Used by the blocking transport wholesale.
-std::string ExecuteLine(const CommandContext& ctx, const std::string& line,
-                        EngineLease* lease);
 
 }  // namespace disc
 

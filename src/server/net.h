@@ -27,7 +27,7 @@ Result<int> ConnectTcp(const std::string& host, int port);
 void CloseSocket(int* fd);
 
 /// Puts a file descriptor into non-blocking mode (O_NONBLOCK). Used by the
-/// event-loop server; the blocking transport below never calls it.
+/// event-loop server.
 Status SetNonBlocking(int fd);
 
 /// A buffered line channel over a connected socket. Does NOT own the fd.

@@ -103,8 +103,7 @@ Result<DiversifyRequest> DecodeDiversify(const Request& request);
 /// radius (the paper's §5.2 zoom path) instead of computing cold. Not part
 /// of DiversifyRequest — the engine never sees it; the serving planner
 /// (server/handlers.h) decodes it separately. Purely an allowance: with no
-/// compatible outcome available the request computes cold, and the
-/// blocking transport always computes cold.
+/// compatible outcome available the request computes cold.
 Result<bool> DecodeDiversifyAdapt(const Request& request);
 
 /// ZOOM -> ZoomRequest. greedy defaults to true, variant to greedy-a

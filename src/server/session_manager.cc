@@ -1,7 +1,6 @@
 #include "server/session_manager.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <optional>
 #include <string>
@@ -156,7 +155,7 @@ FlightJoin SessionManager::JoinFlight(const std::string& key,
   for (auto it = results_.begin(); it != results_.end(); ++it) {
     if (it->key == key) {
       *cached = it->outcome;
-      results_.splice(results_.begin(), results_, it);  // LRU touch
+      TouchResult(it);
       ++stats_.flights_memoized;
       return FlightJoin::kCached;
     }
@@ -168,7 +167,7 @@ FlightJoin SessionManager::JoinFlight(const std::string& key,
     // its own cold solve.
     it->second.adapt_family = adapt_family;
     it->second.radius = radius;
-    it->second.seq = next_flight_seq_++;
+    it->second.seq = next_seq_++;
     ++stats_.flights_led;
     return FlightJoin::kLeader;
   }
@@ -181,26 +180,16 @@ bool SessionManager::JoinAdaptFollower(const std::string& family,
                                        double radius, FlightWaiter waiter) {
   if (family.empty()) return false;
   std::lock_guard<std::mutex> lock(mutex_);
-  auto best = flights_.end();
-  for (auto it = flights_.begin(); it != flights_.end(); ++it) {
-    const Flight& flight = it->second;
-    if (flight.adapt_family != family) continue;
-    // Equal-radius flights coalesce through the exact flight key (or, off
-    // by a non-family knob like quality, must not pretend to zoom to the
-    // same radius) — same rule as FindAdaptableSeed over the memo.
-    if (flight.radius == radius) continue;
-    if (best == flights_.end()) {
-      best = it;
-      continue;
-    }
-    const double delta = std::abs(flight.radius - radius);
-    const double best_delta = std::abs(best->second.radius - radius);
-    // Closest radius wins; ties go to the most recently led flight.
-    if (delta < best_delta ||
-        (delta == best_delta && flight.seq > best->second.seq)) {
-      best = it;
-    }
-  }
+  // Equal-radius flights coalesce through the exact flight key (or, off by
+  // a non-family knob like quality, must not pretend to zoom to the same
+  // radius); NearestSeed never picks them.
+  auto best = NearestSeed(
+      flights_.begin(), flights_.end(), radius,
+      [&](const auto& entry) -> std::optional<SeedRank> {
+        const Flight& flight = entry.second;
+        if (flight.adapt_family != family) return std::nullopt;
+        return SeedRank{flight.radius, flight.seq};
+      });
   if (best == flights_.end()) return false;
   best->second.waiters.push_back(std::move(waiter));
   ++stats_.flights_adapt_followed;
@@ -233,7 +222,7 @@ void SessionManager::FinishFlight(const std::string& key,
           break;
         }
       }
-      results_.push_front(CachedResult{key, outcome});
+      results_.push_front(CachedResult{key, outcome, next_seq_++});
       if (results_.size() > max_cached_results_) results_.pop_back();
       stats_.cached_results = results_.size();
     }
@@ -248,24 +237,26 @@ bool SessionManager::FindAdaptableSeed(const std::string& family,
                                        double* seed_radius) {
   if (family.empty()) return false;
   std::lock_guard<std::mutex> lock(mutex_);
-  auto best = results_.end();
-  for (auto it = results_.begin(); it != results_.end(); ++it) {
-    if (it->outcome.adapt_family != family) continue;
-    if (it->outcome.capsule == nullptr) continue;
-    if (it->outcome.radius == radius) continue;
-    // Strict < keeps the first (most recently finished) match on ties.
-    if (best == results_.end() ||
-        std::abs(it->outcome.radius - radius) <
-            std::abs(best->outcome.radius - radius)) {
-      best = it;
-    }
-  }
+  auto best = NearestSeed(
+      results_.begin(), results_.end(), radius,
+      [&](const CachedResult& entry) -> std::optional<SeedRank> {
+        const FlightOutcome& outcome = entry.outcome;
+        if (outcome.adapt_family != family || outcome.capsule == nullptr) {
+          return std::nullopt;
+        }
+        return SeedRank{outcome.radius, entry.seq};
+      });
   if (best == results_.end()) return false;
   *seed = best->outcome;
   *seed_radius = best->outcome.radius;
-  results_.splice(results_.begin(), results_, best);
+  TouchResult(best);
   ++stats_.flights_adapted;
   return true;
+}
+
+void SessionManager::TouchResult(std::list<CachedResult>::iterator it) {
+  it->seq = next_seq_++;
+  results_.splice(results_.begin(), results_, it);
 }
 
 void SessionManager::ReleaseLease(std::string key,

@@ -25,12 +25,14 @@
 #ifndef DISC_SERVER_SESSION_MANAGER_H_
 #define DISC_SERVER_SESSION_MANAGER_H_
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -156,6 +158,38 @@ struct SessionManagerStats {
   size_t flights_adapt_followed = 0;
 };
 
+/// A §5.2 adaptation-seed candidate as NearestSeed ranks it: its radius
+/// and its recency (larger = newer).
+struct SeedRank {
+  double radius = 0.0;
+  uint64_t recency = 0;
+};
+
+/// The one seed-selection rule for §5.2 radius adaptation, shared by every
+/// source of seeds — the memo (FindAdaptableSeed), in-flight leaders
+/// (JoinAdaptFollower) and a batch's retained anchors: among the
+/// candidates `rank` admits (it maps each element to a SeedRank, or to
+/// nullopt to skip it), the radius closest to `radius` wins, the newest on
+/// ties, and an equal radius never qualifies — equal-radius reuse belongs
+/// to the exact single-flight path. Returns `end` when nothing qualifies.
+template <typename It, typename Rank>
+It NearestSeed(It begin, It end, double radius, Rank rank) {
+  It best = end;
+  SeedRank best_rank;
+  for (It it = begin; it != end; ++it) {
+    const std::optional<SeedRank> candidate = rank(*it);
+    if (!candidate.has_value() || candidate->radius == radius) continue;
+    const double delta = std::abs(candidate->radius - radius);
+    const double best_delta = std::abs(best_rank.radius - radius);
+    if (best == end || delta < best_delta ||
+        (delta == best_delta && candidate->recency > best_rank.recency)) {
+      best = it;
+      best_rank = *candidate;
+    }
+  }
+  return best;
+}
+
 class SessionManager {
  public:
   /// `max_idle_engines` bounds the idle pool (leased engines are not
@@ -214,10 +248,11 @@ class SessionManager {
   /// byte-identical keys): finds the memoized outcome in `family` whose
   /// radius is closest to `radius` — but never equal; equal-radius reuse is
   /// the exact single-flight/memo path — preferring the most recently
-  /// finished on ties. On a hit, copies the outcome into `*seed`, reports
-  /// its radius in `*seed_radius`, touches the LRU entry, and counts
-  /// `flights_adapted`. The caller adopts the seed's capsule and runs the
-  /// engine's zoom adaptation toward its own radius (DiscEngine::AdaptFrom).
+  /// finished or touched on ties (NearestSeed). On a hit, copies the
+  /// outcome into `*seed`, reports its radius in `*seed_radius`, touches
+  /// the LRU entry, and counts `flights_adapted`. The caller adopts the
+  /// seed's capsule and runs the engine's zoom adaptation toward its own
+  /// radius (DiscEngine::AdaptFrom).
   bool FindAdaptableSeed(const std::string& family, double radius,
                          FlightOutcome* seed, double* seed_radius);
 
@@ -229,8 +264,8 @@ class SessionManager {
   /// solve: non-empty outcome.adapt_family, non-null capsule) adapts its
   /// capsule to the caller's radius via DiscEngine::AdaptFrom, falling back
   /// to a cold computation otherwise. Among several in-flight candidates
-  /// the closest radius wins, most recently led on ties — mirroring
-  /// FindAdaptableSeed over the memo. Counts flights_adapt_followed.
+  /// the closest radius wins, most recently led on ties (NearestSeed).
+  /// Counts flights_adapt_followed.
   /// Returns false (waiter dropped) when no compatible flight is in
   /// progress.
   bool JoinAdaptFollower(const std::string& family, double radius,
@@ -274,21 +309,29 @@ class SessionManager {
     /// it is still in the air. Empty family = not adaptable-from.
     std::string adapt_family;
     double radius = 0.0;
-    /// Monotonic lead order; breaks JoinAdaptFollower distance ties toward
-    /// the most recently led flight (mirroring the memo's LRU tie-break).
+    /// Lead order from next_seq_: NearestSeed's recency, so distance ties
+    /// go to the most recently led flight.
     uint64_t seq = 0;
   };
   struct CachedResult {
     std::string key;
     FlightOutcome outcome;
+    /// Restamped from next_seq_ on every LRU touch: NearestSeed's recency,
+    /// so distance ties go to the most recently finished or touched.
+    uint64_t seq = 0;
   };
+
+  /// Moves a memo entry to the LRU front and restamps its recency.
+  /// Requires mutex_.
+  void TouchResult(std::list<CachedResult>::iterator it);
 
   mutable std::mutex mutex_;
   /// Most recently released at the front; evict from the back.
   std::list<IdleEngine> idle_;
   /// In-progress computations keyed by flight key.
   std::unordered_map<std::string, Flight> flights_;
-  uint64_t next_flight_seq_ = 0;
+  /// Recency stamps for flights and memo entries alike.
+  uint64_t next_seq_ = 0;
   /// Completed-flight outcomes, most recently finished at the front.
   std::list<CachedResult> results_;
   SessionManagerStats stats_;

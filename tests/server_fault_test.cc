@@ -425,6 +425,40 @@ TEST(ServerFaultTest, OverloadIsAnsweredWithBusyNotABacklog) {
   ExpectNoLeakedLeases(*server);
 }
 
+TEST(ServerFaultTest, MemoHitsDoNotConsumeAdmissionSlots) {
+  ServerOptions options;
+  options.max_inflight = 1;
+  options.max_pending = 1;  // two admission slots in total
+  auto server = StartFaultServer(std::move(options));
+
+  // Three sessions open at once lease three engines, so the repeats below
+  // are memo hits rather than answers from the first engine's own cache.
+  constexpr int kClients = 3;
+  std::vector<LineClient> clients;
+  clients.reserve(kClients);
+  for (int i = 0; i < kClients; ++i) {
+    clients.push_back(ConnectTo(*server));
+    ASSERT_NE(MustRoundtrip(clients.back(),
+                            "OPEN dataset=clustered n=400 dim=2 seed=9")
+                  .find("\"ok\":true"),
+              std::string::npos);
+  }
+  for (LineClient& client : clients) {
+    EXPECT_NE(MustRoundtrip(client, "DIVERSIFY r=0.1").find("\"ok\":true"),
+              std::string::npos);
+  }
+  EXPECT_EQ(server->manager_stats().flights_memoized, 2u);
+
+  // A memo hit takes no slot, so it must not keep one: with both slots
+  // stranded a new computation would be answered BUSY.
+  const std::string fresh = MustRoundtrip(clients[0], "DIVERSIFY r=0.05");
+  EXPECT_NE(fresh.find("\"ok\":true"), std::string::npos) << fresh;
+  EXPECT_EQ(server->server_stats().busy_rejections, 0u);
+  for (LineClient& client : clients) MustRoundtrip(client, "CLOSE");
+  clients.clear();
+  ExpectNoLeakedLeases(*server);
+}
+
 TEST(ServerFaultTest, ExactOpenAboveTheCapIsRefusedWithoutTakingTheDaemon) {
   ServerOptions options;
   options.max_exact_points = 300;

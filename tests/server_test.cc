@@ -164,14 +164,24 @@ TEST(ServerTest, ProtocolErrorsComeBackAsErrorLines) {
   auto server = StartServer();
   LineClient client = ConnectTo(*server);
 
-  // Before OPEN, everything but OPEN is a precondition failure.
-  for (const char* cmd : {"DIVERSIFY r=0.1", "ZOOM to=0.1", "STATS",
-                          "CLOSE"}) {
-    std::string response = MustRoundtrip(client, cmd);
-    EXPECT_NE(response.find("\"ok\":false"), std::string::npos) << response;
-    EXPECT_NE(response.find("\"code\":\"FailedPrecondition\""),
-              std::string::npos)
-        << response;
+  // Before OPEN, everything but OPEN is a precondition failure. The full
+  // lines are pinned: they carry no wall_ms, so every byte is normative.
+  const std::pair<const char*, const char*> no_session[] = {
+      {"DIVERSIFY r=0.1",
+       "{\"ok\":false,\"cmd\":\"DIVERSIFY\",\"code\":\"FailedPrecondition\","
+       "\"error\":\"no session open; OPEN first\"}"},
+      {"ZOOM to=0.1",
+       "{\"ok\":false,\"cmd\":\"ZOOM\",\"code\":\"FailedPrecondition\","
+       "\"error\":\"no session open; OPEN first\"}"},
+      {"STATS",
+       "{\"ok\":false,\"cmd\":\"STATS\",\"code\":\"FailedPrecondition\","
+       "\"error\":\"no session open; OPEN first\"}"},
+      {"CLOSE",
+       "{\"ok\":false,\"cmd\":\"CLOSE\",\"code\":\"FailedPrecondition\","
+       "\"error\":\"no session open\"}"},
+  };
+  for (const auto& [cmd, expected] : no_session) {
+    EXPECT_EQ(MustRoundtrip(client, cmd), expected);
   }
 
   // Unknown verbs and malformed lines parse-fail with cmd "?".
@@ -191,8 +201,10 @@ TEST(ServerTest, ProtocolErrorsComeBackAsErrorLines) {
       << zoom;
   std::string double_open =
       MustRoundtrip(client, "OPEN dataset=uniform n=100 dim=2 seed=1");
-  EXPECT_NE(double_open.find("already open"), std::string::npos)
-      << double_open;
+  EXPECT_EQ(double_open,
+            "{\"ok\":false,\"cmd\":\"OPEN\",\"code\":\"FailedPrecondition\","
+            "\"error\":\"a session is already open on this connection; "
+            "CLOSE it first\"}");
 }
 
 TEST(ServerTest, BlankLinesAreSkippedSilently) {
@@ -941,6 +953,16 @@ TEST(ServerHttpTest, ErrorCodesMapToHttpStatuses) {
   auto open = client.Post("/open", "dataset=uniform n=100 dim=2 seed=1");
   ASSERT_TRUE(open.ok());
   EXPECT_EQ(open->status, 200);
+
+  // A second OPEN on the same session -> 409, the line protocol's bytes.
+  auto reopen = client.Post("/open", "dataset=uniform n=100 dim=2 seed=1");
+  ASSERT_TRUE(reopen.ok());
+  EXPECT_EQ(reopen->status, 409);
+  EXPECT_EQ(reopen->body,
+            "{\"ok\":false,\"cmd\":\"OPEN\",\"code\":\"FailedPrecondition\","
+            "\"error\":\"a session is already open on this connection; "
+            "CLOSE it first\"}\n");
+
   auto close = client.Post("/close", "");
   ASSERT_TRUE(close.ok());
   EXPECT_EQ(close->status, 200);
