@@ -22,10 +22,11 @@ namespace disc {
 
 namespace {
 
-/// Cached solutions per engine. Each entry snapshots the per-object colors
-/// and closest-black distances (~9 bytes per object), so the bound keeps a
-/// session's working set small while covering the common explore loop
-/// (a handful of radii revisited repeatedly).
+/// Cached solutions per engine, and cached neighborhood-count radii. Each
+/// solution entry snapshots the per-object colors and closest-black
+/// distances (~9 bytes per object) and each counts entry holds 4 bytes per
+/// object, so the bound keeps a session's working set small while covering
+/// the common explore loop (a handful of radii revisited repeatedly).
 constexpr size_t kMaxCachedSolutions = 8;
 
 /// Shortest round-trip decimal form, used for the canonical session history
@@ -213,16 +214,17 @@ void DiscEngine::InsertCache(CacheEntry entry) {
 }
 
 const std::vector<uint32_t>& DiscEngine::CountsForRadius(double radius) {
-  auto it = counts_cache_.find(radius);
-  if (it == counts_cache_.end()) {
-    std::vector<uint32_t> counts;
-    // The heaviest engine pass (one range query per object); fans out
-    // across the engine pool with counts and stats totals exactly equal to
-    // the serial pass (see ComputeNeighborCountsPostBuild).
-    tree_->ComputeNeighborCountsPostBuild(radius, &counts, pool());
-    it = counts_cache_.emplace(radius, std::move(counts)).first;
+  for (const auto& [cached_radius, counts] : counts_cache_) {
+    if (cached_radius == radius) return counts;
   }
-  return it->second;
+  std::vector<uint32_t> counts;
+  // The heaviest engine pass (one range query per object); fans out across
+  // the engine pool with counts and stats totals exactly equal to the
+  // serial pass (see ComputeNeighborCountsPostBuild).
+  tree_->ComputeNeighborCountsPostBuild(radius, &counts, pool());
+  counts_cache_.emplace_back(radius, std::move(counts));
+  if (counts_cache_.size() > kMaxCachedSolutions) counts_cache_.pop_front();
+  return counts_cache_.back().second;
 }
 
 QualityMetrics DiscEngine::ComputeQuality(

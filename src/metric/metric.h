@@ -9,6 +9,10 @@
 #ifndef DISC_METRIC_METRIC_H_
 #define DISC_METRIC_METRIC_H_
 
+#include <algorithm>
+#include <cassert>
+#include <cmath>
+#include <cstddef>
 #include <memory>
 #include <string>
 
@@ -46,9 +50,26 @@ class DistanceMetric {
   std::string name() const { return MetricKindToString(kind()); }
 };
 
+// Each built-in metric's loop is its static Kernel(), the one definition
+// both the virtual Distance() (metric.cc) and callers that devirtualize by
+// exact dynamic type (the M-tree's neighbor-count pass) execute, so the two
+// paths return bit-identical distances. The build compiles with
+// -ffp-contract=off: no FMA contraction may change the accumulation.
+
 /// L2 distance.
 class EuclideanMetric final : public DistanceMetric {
  public:
+  static double Kernel(const Point& a, const Point& b) {
+    assert(a.dim() == b.dim());
+    const double* pa = a.data();
+    const double* pb = b.data();
+    double sum = 0.0;
+    for (size_t i = 0; i < a.dim(); ++i) {
+      double d = pa[i] - pb[i];
+      sum += d * d;
+    }
+    return std::sqrt(sum);
+  }
   double Distance(const Point& a, const Point& b) const override;
   MetricKind kind() const override { return MetricKind::kEuclidean; }
 };
@@ -56,6 +77,16 @@ class EuclideanMetric final : public DistanceMetric {
 /// L1 distance.
 class ManhattanMetric final : public DistanceMetric {
  public:
+  static double Kernel(const Point& a, const Point& b) {
+    assert(a.dim() == b.dim());
+    const double* pa = a.data();
+    const double* pb = b.data();
+    double sum = 0.0;
+    for (size_t i = 0; i < a.dim(); ++i) {
+      sum += std::fabs(pa[i] - pb[i]);
+    }
+    return sum;
+  }
   double Distance(const Point& a, const Point& b) const override;
   MetricKind kind() const override { return MetricKind::kManhattan; }
 };
@@ -63,6 +94,16 @@ class ManhattanMetric final : public DistanceMetric {
 /// L-infinity distance.
 class ChebyshevMetric final : public DistanceMetric {
  public:
+  static double Kernel(const Point& a, const Point& b) {
+    assert(a.dim() == b.dim());
+    const double* pa = a.data();
+    const double* pb = b.data();
+    double best = 0.0;
+    for (size_t i = 0; i < a.dim(); ++i) {
+      best = std::max(best, std::fabs(pa[i] - pb[i]));
+    }
+    return best;
+  }
   double Distance(const Point& a, const Point& b) const override;
   MetricKind kind() const override { return MetricKind::kChebyshev; }
 };
@@ -72,6 +113,16 @@ class ChebyshevMetric final : public DistanceMetric {
 /// categorical datasets.
 class HammingMetric final : public DistanceMetric {
  public:
+  static double Kernel(const Point& a, const Point& b) {
+    assert(a.dim() == b.dim());
+    const double* pa = a.data();
+    const double* pb = b.data();
+    double count = 0.0;
+    for (size_t i = 0; i < a.dim(); ++i) {
+      if (pa[i] != pb[i]) count += 1.0;
+    }
+    return count;
+  }
   double Distance(const Point& a, const Point& b) const override;
   MetricKind kind() const override { return MetricKind::kHamming; }
 };

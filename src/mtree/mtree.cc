@@ -9,8 +9,10 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
+#include "metric/metric.h"
 #include "mtree/mtree_internal.h"
 #include "util/parallel.h"
 
@@ -118,43 +120,105 @@ Status MTree::BuildWithNeighborCounts(double radius,
   return Status::OK();
 }
 
+namespace {
+
+// The distance the count pass evaluates. KernelDistance inlines a built-in
+// metric's loop; VirtualDistance keeps the virtual call for every other
+// metric, so wrappers (call counters, caches) still see each evaluation.
+template <typename Metric>
+struct KernelDistance {
+  double operator()(const Point& a, const Point& b) const {
+    return Metric::Kernel(a, b);
+  }
+};
+
+struct VirtualDistance {
+  const DistanceMetric& metric;
+  double operator()(const Point& a, const Point& b) const {
+    return metric.Distance(a, b);
+  }
+};
+
+}  // namespace
+
 void MTree::ComputeNeighborCountsPostBuild(double radius,
                                            std::vector<uint32_t>* counts,
                                            ThreadPool* pool) {
   assert(built_);
-  counts->assign(dataset_.size(), 0);
-  if (pool == nullptr || pool->threads() <= 1) {
-    std::vector<Neighbor> found;
-    for (ObjectId id = 0; id < dataset_.size(); ++id) {
-      found.clear();
-      RangeQueryAround(id, radius, QueryFilter::kAll, /*pruned=*/false,
-                       &found);
-      (*counts)[id] = static_cast<uint32_t>(found.size());
-    }
-    return;
-  }
-
-  // Each chunk queries under a private stats sink and writes its own slice
-  // of `counts`; sinks are summed back into stats_ in chunk order, so counts
-  // and totals are exactly the serial pass's (integer sums are exact in any
-  // order; the fixed chunk order keeps the contract byte-for-byte).
   const size_t n = dataset_.size();
-  const size_t grain = RecommendedGrain(n, pool->threads());
-  ParallelOrderedReduce<AccessStats>(
-      pool, 0, n, grain,
-      [&](size_t chunk_begin, size_t chunk_end) {
-        AccessStats local;
-        ThreadStatsScope scope(*this, &local);
-        std::vector<Neighbor> found;
-        for (size_t id = chunk_begin; id < chunk_end; ++id) {
-          found.clear();
-          RangeQueryAround(static_cast<ObjectId>(id), radius,
-                           QueryFilter::kAll, /*pruned=*/false, &found);
-          (*counts)[id] = static_cast<uint32_t>(found.size());
-        }
-        return local;
-      },
-      [&](AccessStats& local) { stats_ += local; });
+  counts->assign(n, 0);
+  const size_t grain =
+      RecommendedGrain(n, pool == nullptr ? 1 : pool->threads());
+  // Each chunk counts under a private AccessStats and writes its own slice
+  // of `counts`; the sinks are charged to the caller's live counters in
+  // chunk order. A null or 1-thread pool runs the chunks in order on the
+  // calling thread, so every thread count gives the same counts and totals.
+  auto pass = [&](const auto& dist) {
+    ParallelOrderedReduce<AccessStats>(
+        pool, 0, n, grain,
+        [&](size_t chunk_begin, size_t chunk_end) {
+          AccessStats local;
+          for (size_t id = chunk_begin; id < chunk_end; ++id) {
+            ++local.range_queries;
+            (*counts)[id] = CountWithin(
+                root_.get(), dataset_.point(static_cast<ObjectId>(id)),
+                radius, std::numeric_limits<double>::quiet_NaN(),
+                static_cast<ObjectId>(id), dist, &local);
+          }
+          return local;
+        },
+        [&](AccessStats& local) { LiveStats() += local; });
+  };
+  // The kernel is picked once per pass by exact dynamic type (the built-in
+  // metrics are final), so CountWithin inlines it.
+  const std::type_info& type = typeid(metric_);
+  if (type == typeid(EuclideanMetric)) {
+    pass(KernelDistance<EuclideanMetric>{});
+  } else if (type == typeid(ManhattanMetric)) {
+    pass(KernelDistance<ManhattanMetric>{});
+  } else if (type == typeid(ChebyshevMetric)) {
+    pass(KernelDistance<ChebyshevMetric>{});
+  } else if (type == typeid(HammingMetric)) {
+    pass(KernelDistance<HammingMetric>{});
+  } else {
+    pass(VirtualDistance{metric_});
+  }
+}
+
+template <typename Dist>
+uint32_t MTree::CountWithin(const Node* node, const Point& q, double radius,
+                            double dist_to_pivot, ObjectId exclude,
+                            const Dist& dist, AccessStats* local) const {
+  // RangeSearchNode with QueryFilter::kAll, unpruned: the same filters, the
+  // same charges, and a count instead of a neighbor list.
+  ++local->node_accesses;
+  const bool have_parent_dist = !std::isnan(dist_to_pivot);
+  uint32_t count = 0;
+  if (node->is_leaf) {
+    for (const LeafEntry& entry : node->objects) {
+      if (entry.object == exclude) continue;
+      if (have_parent_dist &&
+          std::fabs(dist_to_pivot - entry.parent_dist) > radius) {
+        continue;
+      }
+      ++local->distance_computations;
+      if (dist(q, dataset_.point(entry.object)) <= radius) ++count;
+    }
+    return count;
+  }
+  for (const RoutingEntry& entry : node->children) {
+    if (have_parent_dist &&
+        std::fabs(dist_to_pivot - entry.parent_dist) > radius + entry.radius) {
+      continue;
+    }
+    ++local->distance_computations;
+    const double d = dist(q, dataset_.point(entry.pivot));
+    if (d <= radius + entry.radius) {
+      count += CountWithin(entry.child.get(), q, radius, d, exclude, dist,
+                           local);
+    }
+  }
+  return count;
 }
 
 Status MTree::CheckBuildPreconditions() const {

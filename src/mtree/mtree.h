@@ -199,13 +199,17 @@ class MTree {
 
   /// Computes all white-neighborhood sizes with one range query per object
   /// over the complete tree (the baseline the build-time variant beats).
-  /// With a pool of more than one thread the object range is fanned out
-  /// across per-thread read-only range queries (the tree structure is
-  /// immutable after build); each worker accounts its accesses to a private
-  /// AccessStats (see ThreadStatsScope) and the sinks are summed into
-  /// stats() in chunk order, so both the counts and the stats totals are
-  /// exactly the serial pass's. A null pool (or threads() <= 1) runs the
-  /// original serial loop.
+  /// The queries are count-only: each visits the nodes, applies the filters
+  /// and charges node accesses, distance computations and range queries
+  /// exactly as RangeQueryAround(id, radius, kAll, /*pruned=*/false) would,
+  /// but collects no neighbors. For the four built-in metrics the distance
+  /// kernel is inlined (picked by exact dynamic type); any other metric is
+  /// called through DistanceMetric::Distance once per charged computation.
+  /// Chunks of the object range run on `pool` (in order on the calling
+  /// thread for a null or 1-thread pool), each under a private AccessStats
+  /// that is added to the caller's live counters (ThreadStatsScope-aware) in
+  /// chunk order, so counts and stats totals are identical for every
+  /// thread count.
   void ComputeNeighborCountsPostBuild(double radius,
                                       std::vector<uint32_t>* counts,
                                       ThreadPool* pool = nullptr);
@@ -367,9 +371,9 @@ class MTree {
 
   /// RAII redirect: while alive, every access this *thread* charges against
   /// this tree lands in `sink` instead of stats(). The enabling primitive
-  /// for parallel read-only query fan-outs (ComputeNeighborCountsPostBuild
-  /// with a pool, the index-backed NeighborhoodGraph): each worker queries
-  /// under its own sink, and the caller sums the sinks into stats()
+  /// for parallel read-only query fan-outs (the index-backed
+  /// NeighborhoodGraph, the bulk load, speculative selection): each worker
+  /// queries under its own sink, and the caller sums the sinks into stats()
   /// afterwards in deterministic order — totals stay exactly the serial
   /// totals without the counters racing. Scopes nest (restores the previous
   /// redirect); other threads are unaffected.
@@ -425,6 +429,13 @@ class MTree {
                        double dist_center_to_node_pivot, QueryFilter filter,
                        bool pruned, ObjectId exclude, std::vector<Neighbor>* out,
                        SpecState* spec = nullptr) const;
+  // The count pass's per-object traversal: the number of objects other
+  // than `exclude` within `radius` of `q` under `node`, with distances from
+  // `dist` and every access charged to `local`.
+  template <typename Dist>
+  uint32_t CountWithin(const Node* node, const Point& q, double radius,
+                       double dist_to_pivot, ObjectId exclude,
+                       const Dist& dist, AccessStats* local) const;
   /// A child's white counter as the speculative query must see it: the
   /// actual counter, minus one on the assume_black candidate's ancestor
   /// path. Equals node->white_count when spec carries no assumption.

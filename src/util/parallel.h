@@ -15,9 +15,12 @@
 //     (ParallelOrderedReduce), so order-sensitive merges (floating-point
 //     sums, list appends) are byte-identical to the serial loop.
 //
-// Callers gate on `pool == nullptr || pool->threads() <= 1` and keep their
-// original serial loop on that path, so single-threaded behavior is the
-// exact pre-pool code.
+// ParallelFor and ParallelOrderedReduce run the chunks in ascending order on
+// the calling thread for a null or 1-thread pool. A pass written as one
+// ordered reduction (the M-tree's neighbor-count pass) therefore needs no
+// separate serial branch. Passes whose serial loop differs from the chunked
+// one (e.g. a shared output buffer filled in place) gate on
+// `pool == nullptr || pool->threads() <= 1` and keep that loop.
 
 #ifndef DISC_UTIL_PARALLEL_H_
 #define DISC_UTIL_PARALLEL_H_

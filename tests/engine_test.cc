@@ -407,6 +407,31 @@ TEST(EngineCacheTest, RepeatedRequestIsServedFromCacheWithZeroAccesses) {
   EXPECT_EQ(engine->Snapshot().cached_solutions, 1u);
 }
 
+TEST(EngineCacheTest, CountsCacheIsBoundedAndRecomputesEvictedRadii) {
+  auto engine = MakeEngine();
+  DiversifyRequest request;
+  request.radius = 0.05;
+  auto first = engine->Diversify(request);
+  ASSERT_TRUE(first.ok());
+  for (int i = 1; i < 9; ++i) {
+    DiversifyRequest other = request;
+    other.radius = 0.05 + 0.01 * i;
+    ASSERT_TRUE(engine->Diversify(other).ok());
+  }
+  // Nine radii, bounded at eight: the oldest (0.05) was evicted, from the
+  // counts cache and the solution cache alike.
+  EXPECT_EQ(engine->Snapshot().cached_count_radii, 8u);
+  EXPECT_EQ(engine->Snapshot().cached_solutions, 8u);
+
+  auto again = engine->Diversify(request);
+  ASSERT_TRUE(again.ok());
+  EXPECT_FALSE(again->from_cache);
+  EXPECT_EQ(again->solution, first->solution);
+  // The count pass ran again, so the request paid what the first one did.
+  EXPECT_EQ(again->stats, first->stats);
+  EXPECT_EQ(engine->Snapshot().cached_count_radii, 8u);
+}
+
 TEST(EngineCacheTest, DifferentRequestsMissTheCache) {
   auto engine = MakeEngine();
   DiversifyRequest request;

@@ -3,12 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <memory>
 #include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "data/generators.h"
 #include "metric/metric.h"
+#include "util/parallel.h"
 #include "util/random.h"
 
 namespace disc {
@@ -494,6 +501,149 @@ TEST(MTreeCountsTest, BuildTimeCountsCheaperThanPostBuild) {
   uint64_t cost_post = tree_b.stats().node_accesses;
 
   EXPECT_LT(cost_build_time, cost_post);
+}
+
+// The count pass's contract, for every metric kernel, both build
+// strategies, two dimensions and three pool shapes: counts[id] is the size
+// of RangeQueryAround(id), and the pass charges exactly what those
+// per-object queries charge — to stats(), or to the sink of an active
+// ThreadStatsScope.
+using CountsParam = std::tuple<MetricKind, BuildStrategy, size_t, size_t>;
+
+class MTreeCountsContractTest : public ::testing::TestWithParam<CountsParam> {
+};
+
+Dataset CountsDataset(MetricKind kind, size_t dim) {
+  if (kind != MetricKind::kHamming) return MakeClusteredDataset(600, dim, 61);
+  // Categorical codes: few distinct values per attribute, so Hamming
+  // neighborhoods are large and full of exact distance ties.
+  Dataset d;
+  Random rng(67);
+  for (int i = 0; i < 600; ++i) {
+    std::vector<double> coords(dim);
+    for (double& c : coords) c = static_cast<double>(rng.UniformInt(3));
+    EXPECT_TRUE(d.Add(Point(std::move(coords))).ok());
+  }
+  return d;
+}
+
+double CountsRadius(MetricKind kind, size_t dim) {
+  const bool low = dim == 2;
+  switch (kind) {
+    case MetricKind::kEuclidean:
+      return low ? 0.05 : 0.25;
+    case MetricKind::kManhattan:
+      return low ? 0.07 : 0.5;
+    case MetricKind::kChebyshev:
+      return low ? 0.04 : 0.15;
+    case MetricKind::kHamming:
+      return low ? 1.0 : 2.0;
+  }
+  return 0.0;
+}
+
+std::string CountsParamName(const ::testing::TestParamInfo<CountsParam>& info) {
+  const auto [kind, strategy, dim, threads] = info.param;
+  return std::string(MetricKindToString(kind)) + "_" +
+         BuildStrategyToString(strategy) + "_dim" + std::to_string(dim) +
+         (threads == 0 ? std::string("_serial")
+                       : "_pool" + std::to_string(threads));
+}
+
+TEST_P(MTreeCountsContractTest, CountsAndStatsEqualPerObjectQueries) {
+  const auto [kind, strategy, dim, threads] = GetParam();
+  const Dataset d = CountsDataset(kind, dim);
+  const std::unique_ptr<DistanceMetric> metric = MakeMetric(kind);
+  const double radius = CountsRadius(kind, dim);
+  MTreeOptions options;
+  options.node_capacity = 16;
+  options.build.strategy = strategy;
+  MTree tree(d, *metric, options);
+  ASSERT_TRUE(tree.Build().ok());
+
+  tree.ResetStats();
+  std::vector<uint32_t> expected(d.size());
+  std::vector<Neighbor> found;
+  for (ObjectId id = 0; id < d.size(); ++id) {
+    found.clear();
+    tree.RangeQueryAround(id, radius, QueryFilter::kAll, /*pruned=*/false,
+                          &found);
+    expected[id] = static_cast<uint32_t>(found.size());
+  }
+  const AccessStats query_stats = tree.stats();
+  ASSERT_GT(*std::max_element(expected.begin(), expected.end()), 0u);
+
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+  tree.ResetStats();
+  std::vector<uint32_t> counts;
+  tree.ComputeNeighborCountsPostBuild(radius, &counts, pool.get());
+  EXPECT_EQ(counts, expected);
+  EXPECT_EQ(tree.stats(), query_stats);
+
+  tree.ResetStats();
+  AccessStats sink;
+  {
+    MTree::ThreadStatsScope scope(tree, &sink);
+    tree.ComputeNeighborCountsPostBuild(radius, &counts, pool.get());
+  }
+  EXPECT_EQ(counts, expected);
+  EXPECT_EQ(sink, query_stats);
+  EXPECT_EQ(tree.stats(), AccessStats{});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KernelsBuildsPools, MTreeCountsContractTest,
+    ::testing::Combine(
+        ::testing::Values(MetricKind::kEuclidean, MetricKind::kManhattan,
+                          MetricKind::kChebyshev, MetricKind::kHamming),
+        ::testing::Values(BuildStrategy::kInsertAtATime,
+                          BuildStrategy::kBulkLoad),
+        ::testing::Values(size_t{2}, size_t{6}),
+        ::testing::Values(size_t{0}, size_t{2}, size_t{4})),
+    CountsParamName);
+
+// A metric the count pass cannot devirtualize: every distance the pass
+// charges must reach it through the virtual call.
+class CountingMetric final : public DistanceMetric {
+ public:
+  explicit CountingMetric(const DistanceMetric& inner) : inner_(inner) {}
+
+  double Distance(const Point& a, const Point& b) const override {
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    return inner_.Distance(a, b);
+  }
+  MetricKind kind() const override { return inner_.kind(); }
+
+  uint64_t calls() const { return calls_.load(); }
+
+ private:
+  const DistanceMetric& inner_;
+  mutable std::atomic<uint64_t> calls_{0};
+};
+
+TEST(MTreeCountsTest, WrapperMetricKeepsTheVirtualCall) {
+  const Dataset d = MakeClusteredDataset(600, 2, 71);
+  const double radius = 0.05;
+  EuclideanMetric plain;
+  MTree plain_tree(d, plain);
+  ASSERT_TRUE(plain_tree.Build().ok());
+  plain_tree.ResetStats();
+  std::vector<uint32_t> expected;
+  plain_tree.ComputeNeighborCountsPostBuild(radius, &expected);
+
+  CountingMetric counting(plain);
+  MTree tree(d, counting);
+  ASSERT_TRUE(tree.Build().ok());
+  tree.ResetStats();
+  const uint64_t calls_before = counting.calls();
+  ThreadPool pool(2);
+  std::vector<uint32_t> counts;
+  tree.ComputeNeighborCountsPostBuild(radius, &counts, &pool);
+  EXPECT_EQ(counts, expected);
+  EXPECT_EQ(tree.stats(), plain_tree.stats());
+  EXPECT_EQ(counting.calls() - calls_before,
+            tree.stats().distance_computations);
 }
 
 }  // namespace
