@@ -10,10 +10,11 @@
 //     index, and counts passes are reported for trend watching but not
 //     gated — they are memory/allocator-bound and noisier on CI runners).
 //
-// The benchmarks cover the three NeighborhoodGraph build paths plus the
-// engine's neighborhood-count pass — the passes rewired onto
-// util/parallel.h. Wall times land in google-benchmark's real_time; the
-// deterministic counters double as the cross-leg identity proof.
+// The benchmarks cover G_P,r builds through the grid backend (its scan and
+// grid builders) and the exact M-tree backend, plus the engine's
+// neighborhood-count pass — each one ordered reduction on util/parallel.h.
+// Wall times land in google-benchmark's real_time; the deterministic
+// counters double as the cross-leg identity proof.
 
 #include <cstdlib>
 #include <string>
@@ -22,6 +23,7 @@
 
 #include "bench/common.h"
 #include "graph/neighborhood.h"
+#include "neighbor/exact_backend.h"
 #include "util/parallel.h"
 #include "util/stopwatch.h"
 
@@ -41,7 +43,8 @@ size_t BenchThreads() {
 }
 
 // One pool for the whole binary (workers persist across benchmarks, like a
-// served engine's pool). Null at 1 thread so the serial paths run.
+// served engine's pool). Null at 1 thread, so the passes run their chunks
+// in order on the calling thread.
 ThreadPool* BenchPool() {
   static ThreadPool* pool =
       BenchThreads() > 1 ? new ThreadPool(BenchThreads()) : nullptr;
@@ -103,31 +106,35 @@ void BM_GraphGrid(benchmark::State& state, size_t n) {
   AddParallelRow("grid", n, ms, edges, 0);
 }
 
-// Index-backed path (one range query per object) over a bulk-loaded tree;
-// node accesses must be bit-identical across legs (per-thread sinks summed).
+// Index-backed path (one range query per object) through the exact backend
+// over a bulk-loaded tree; node accesses must be bit-identical across legs
+// (per-chunk sinks summed).
 void BM_GraphIndex(benchmark::State& state, size_t n) {
   const Dataset& dataset = Clustered(n, 2);
   MTreeOptions options;
   options.build.strategy = BuildStrategy::kBulkLoad;
-  MTree* tree = CachedTree(dataset, Euclidean(), options);
+  auto backend = ExactMTreeBackend::Create(dataset, Euclidean(), options);
+  if (!backend.ok()) {
+    state.SkipWithError(backend.status().ToString().c_str());
+    return;
+  }
   const double radius = 0.03;
   double ms = 0.0;
   uint64_t edges = 0;
-  uint64_t accesses = 0;
   for (auto _ : state) {
-    tree->ResetStats();
+    (*backend)->ResetStats();
     Stopwatch watch;
-    NeighborhoodGraph graph(*tree, radius, BenchPool());
+    auto graph =
+        NeighborhoodGraph::FromBackend(**backend, radius, BenchPool());
     ms = watch.ElapsedMillis();
-    edges = graph.num_edges();
-    accesses = tree->stats().node_accesses;
-    benchmark::DoNotOptimize(graph.num_edges());
+    edges = graph.ok() ? graph->num_edges() : 0;
+    benchmark::DoNotOptimize(edges);
   }
+  const AccessStats& stats = (*backend)->stats();
   state.counters["edges"] = static_cast<double>(edges);
-  state.counters["node_accesses"] = static_cast<double>(accesses);
-  state.counters["range_queries"] =
-      static_cast<double>(tree->stats().range_queries);
-  AddParallelRow("index", n, ms, edges, accesses);
+  state.counters["node_accesses"] = static_cast<double>(stats.node_accesses);
+  state.counters["range_queries"] = static_cast<double>(stats.range_queries);
+  AddParallelRow("index", n, ms, edges, stats.node_accesses);
 }
 
 // The engine's CountsForRadius pass (Greedy-DisC initialization): one range

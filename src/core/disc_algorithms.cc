@@ -281,8 +281,7 @@ DiscResult GreedyDisc(MTree* tree, double radius,
           std::vector<std::pair<ObjectId, int64_t>> lost;
           AccessStats cost;
         };
-        const size_t grain =
-            RecommendedGrain(update_found.size(), pool->threads());
+        const size_t grain = RecommendedGrain(update_found.size(), pool);
         ParallelOrderedReduce<LossResult>(
             pool, 0, update_found.size(), grain,
             [&](size_t chunk_begin, size_t chunk_end) {

@@ -376,7 +376,9 @@ class DiscEngine {
 
   /// The engine's fan-out pool, created lazily on the first parallel pass
   /// (so idle pooled engines hold no parked worker threads). Null when
-  /// threads_ == 1 — every pass then takes its original serial path.
+  /// threads_ == 1: the neighborhood passes then run the same chunks in
+  /// order on the calling thread, and the greedy selection loops take their
+  /// serial branch (util/parallel.h).
   ThreadPool* pool();
 
   /// The non-exact-backend Diversify path: algorithms run on the

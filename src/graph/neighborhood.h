@@ -6,18 +6,17 @@
 // brute-force reference algorithms, and backs the structural verifiers.
 //
 // Construction is the r-neighborhood computation that dominates every DisC
-// pass (N_r(p) for all p, §4–§6). The direct constructor delegates to the
-// shared adjacency builders in neighbor/adjacency.h (grid accelerator or
-// exact O(n^2) scan); the tree constructor issues one index range query per
-// object; and FromBackend builds the graph through any pluggable
-// NeighborBackend (neighbor/backend.h), which is how approximate (LSH) and
-// sharded engines plug into everything defined on this graph. All paths
-// accept an optional util/parallel.h thread pool: the object range is
-// partitioned into chunks, each chunk collects edges (or adjacency rows)
-// into private buffers, and the buffers are merged on the calling thread in
-// ascending chunk order — the resulting graph is byte-identical to the
-// serial build for every thread count. A null pool (or a one-thread pool)
-// runs the original serial loops.
+// pass (N_r(p) for all p, §4–§6), and there is one way to do it:
+// FromBackend, which adopts NeighborBackend::BuildNeighborhoods
+// (neighbor/backend.h). Exact backends (the M-tree, grid and exact-shard
+// engines) give the exact graph; approximate (LSH) backends give a subgraph,
+// which is how sharded and approximate engines plug into everything defined
+// on this graph. The dataset constructor is shorthand for FromBackend over a
+// GridBackend, which picks the grid accelerator or the exact O(n^2) scan.
+// Every build is an ordered reduction over an optional util/parallel.h
+// pool: the object range splits into chunks, and per-chunk results merge on
+// the calling thread in ascending chunk order, so the graph and the
+// backend's accounting are byte-identical for every thread count.
 
 #ifndef DISC_GRAPH_NEIGHBORHOOD_H_
 #define DISC_GRAPH_NEIGHBORHOOD_H_
@@ -28,7 +27,6 @@
 
 #include "data/dataset.h"
 #include "metric/metric.h"
-#include "mtree/mtree.h"
 #include "neighbor/backend.h"
 #include "util/status.h"
 
@@ -40,30 +38,18 @@ class ThreadPool;  // util/parallel.h
 /// and exclude the vertex itself, matching N_r(p_i) in the paper.
 class NeighborhoodGraph {
  public:
-  /// Builds the graph by computing pairwise distances — exactly once per
-  /// unordered pair on both paths. Uses a uniform-grid accelerator for
-  /// low-dimensional Minkowski metrics and falls back to the exact O(n^2)
-  /// scan otherwise; both produce identical graphs.
+  /// Builds the graph from the dataset through a GridBackend: exactly one
+  /// distance computation per compared unordered pair, using the
+  /// uniform-grid accelerator for low-dimensional Minkowski metrics and the
+  /// exact O(n^2) scan otherwise; both produce identical graphs.
   NeighborhoodGraph(const Dataset& dataset, const DistanceMetric& metric,
                     double radius, ThreadPool* pool = nullptr);
 
-  /// Builds the graph from a built M-tree with one range query per object —
-  /// the index-backed path for workloads where the grid accelerator does not
-  /// apply (high dimensionality, non-Minkowski metrics). Produces exactly
-  /// the same graph as the direct constructors; cost scales with the tree's
-  /// clustering quality, so bulk-loaded trees (MTree::BulkLoad) pay off
-  /// here. The queries are charged to tree.stats() — with a pool, each
-  /// worker queries under a private sink (MTree::ThreadStatsScope) and the
-  /// sinks are summed back, so the totals equal the serial build's.
-  explicit NeighborhoodGraph(const MTree& tree, double radius,
-                             ThreadPool* pool = nullptr);
-
-  /// Builds the graph through a pluggable neighbor backend
-  /// (neighbor/backend.h). Exact backends produce exactly the graph the
-  /// constructors above produce; approximate backends produce a subgraph
-  /// (every reported edge is distance-verified, some true edges may be
-  /// missing — the recall the CI quality gate measures). Accounting goes to
-  /// the backend's stats().
+  /// Builds the graph through a neighbor backend (neighbor/backend.h).
+  /// Exact backends produce the exact graph; approximate backends produce a
+  /// subgraph (every reported edge is distance-verified, some true edges may
+  /// be missing — the recall the CI quality gate measures). Accounting goes
+  /// to the backend's stats().
   static Result<NeighborhoodGraph> FromBackend(const NeighborBackend& backend,
                                                double radius,
                                                ThreadPool* pool = nullptr);
@@ -91,8 +77,6 @@ class NeighborhoodGraph {
       : radius_(radius),
         num_edges_(num_edges),
         adjacency_(std::move(adjacency)) {}
-
-  void BuildFromTree(const MTree& tree, ThreadPool* pool);
 
   double radius_;
   size_t num_edges_ = 0;

@@ -52,12 +52,13 @@ struct Cluster {
 // internal levels.
 //
 // Parallelism: the nearest-seed assignment — the n*k distance computations
-// that dominate the build — fans out across the pool. Seed sampling stays on
-// the calling thread (it is the sole consumer of the random state, and its
-// draw order must not depend on scheduling), each assignment chunk runs
+// that dominate the build — is one ordered reduction over the pool (a null
+// pool runs its chunks in order on the calling thread). Seed sampling stays
+// on the calling thread (it is the sole consumer of the random state, and
+// its draw order must not depend on scheduling), each assignment chunk runs
 // under a private stats sink, and chunk results merge in ascending order, so
-// clusters, the random stream, and stats totals are byte-identical to the
-// serial partitioner at any thread count.
+// clusters, the random stream, and stats totals are byte-identical at any
+// thread count.
 class SeedPartitioner {
  public:
   using DistFn = double (*)(const MTree&, ObjectId, ObjectId);
@@ -96,56 +97,34 @@ class SeedPartitioner {
     }
 
     // Assign every id to its nearest seed (ties toward the earlier seed).
-    std::vector<std::vector<Member>> groups(k);
-    if (pool_ == nullptr || pool_->threads() <= 1) {
-      for (ObjectId id : ids) {
-        size_t best = 0;
-        double best_dist = std::numeric_limits<double>::infinity();
-        for (size_t s = 0; s < k; ++s) {
-          double d = dist_(tree_, id, ids[s]);
-          if (d < best_dist) {
-            best_dist = d;
-            best = s;
-          }
-        }
-        groups[best].push_back(Member{id, best_dist});
-      }
-    } else {
-      // Per-id seed choices are independent; compute them on the workers
-      // under private stats sinks, then append to the groups (and sum the
-      // sinks) in ascending chunk order — exactly the serial loop's result.
-      struct Choice {
-        std::vector<std::pair<size_t, double>> best;  // (seed index, dist)
-        AccessStats stats;
-      };
-      const size_t grain = RecommendedGrain(n, pool_->threads());
-      size_t next = 0;  // consume sees chunks in order: ids[next] advances
-      ParallelOrderedReduce<Choice>(
-          pool_, 0, n, grain,
-          [&](size_t chunk_begin, size_t chunk_end) {
-            Choice choice;
-            MTree::ThreadStatsScope scope(tree_, &choice.stats);
-            choice.best.reserve(chunk_end - chunk_begin);
-            for (size_t i = chunk_begin; i < chunk_end; ++i) {
-              size_t best = 0;
-              double best_dist = std::numeric_limits<double>::infinity();
-              for (size_t s = 0; s < k; ++s) {
-                double d = dist_(tree_, ids[i], ids[s]);
-                if (d < best_dist) {
-                  best_dist = d;
-                  best = s;
-                }
+    // Per-id seed choices are independent: each chunk writes its own slice
+    // of `best` under a private stats sink, and the sinks charge the tree in
+    // ascending chunk order — the same choices and totals at any thread
+    // count.
+    std::vector<std::pair<size_t, double>> best(n);  // (seed index, dist)
+    ParallelOrderedReduce<AccessStats>(
+        pool_, 0, n, RecommendedGrain(n, pool_),
+        [&](size_t chunk_begin, size_t chunk_end) {
+          AccessStats stats;
+          MTree::ThreadStatsScope scope(tree_, &stats);
+          for (size_t i = chunk_begin; i < chunk_end; ++i) {
+            size_t seed = 0;
+            double seed_dist = std::numeric_limits<double>::infinity();
+            for (size_t s = 0; s < k; ++s) {
+              double d = dist_(tree_, ids[i], ids[s]);
+              if (d < seed_dist) {
+                seed_dist = d;
+                seed = s;
               }
-              choice.best.emplace_back(best, best_dist);
             }
-            return choice;
-          },
-          [&](Choice& choice) {
-            tree_.stats() += choice.stats;
-            for (const auto& [best, dist] : choice.best) {
-              groups[best].push_back(Member{ids[next++], dist});
-            }
-          });
+            best[i] = {seed, seed_dist};
+          }
+          return stats;
+        },
+        [&](AccessStats& stats) { tree_.ChargeStats(stats); });
+    std::vector<std::vector<Member>> groups(k);
+    for (size_t i = 0; i < n; ++i) {
+      groups[best[i].first].push_back(Member{ids[i], best[i].second});
     }
 
     for (size_t s = 0; s < k; ++s) {
@@ -233,15 +212,12 @@ Status MTree::BulkLoad(ThreadPool* pool) {
   // Each cluster becomes one leaf, built independently on the workers (the
   // clusters partition the objects, so the leaf_of_ writes are disjoint);
   // the chunk-ordered merge then threads the leaf chain and the counters in
-  // cluster order, identical to the serial loop.
+  // cluster order, identical at any thread count.
   std::vector<std::unique_ptr<Node>> level;
   level.reserve(clusters.size());
   Node* prev_leaf = nullptr;
-  const size_t leaf_grain =
-      pool == nullptr ? clusters.size()
-                      : RecommendedGrain(clusters.size(), pool->threads());
   ParallelOrderedReduce<std::vector<std::unique_ptr<Node>>>(
-      pool, 0, clusters.size(), leaf_grain,
+      pool, 0, clusters.size(), RecommendedGrain(clusters.size(), pool),
       [&](size_t chunk_begin, size_t chunk_end) {
         std::vector<std::unique_ptr<Node>> built;
         built.reserve(chunk_end - chunk_begin);

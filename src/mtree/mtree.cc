@@ -147,8 +147,7 @@ void MTree::ComputeNeighborCountsPostBuild(double radius,
   assert(built_);
   const size_t n = dataset_.size();
   counts->assign(n, 0);
-  const size_t grain =
-      RecommendedGrain(n, pool == nullptr ? 1 : pool->threads());
+  const size_t grain = RecommendedGrain(n, pool);
   // Each chunk counts under a private AccessStats and writes its own slice
   // of `counts`; the sinks are charged to the caller's live counters in
   // chunk order. A null or 1-thread pool runs the chunks in order on the

@@ -24,6 +24,24 @@ size_t MergeEdges(const EdgeList& edges, AdjacencyLists* adjacency) {
   return edges.size();
 }
 
+// The coordinates of p's grid cell: cells have side r along every axis.
+void CellOf(const Point& p, double radius, std::vector<int64_t>* cell) {
+  for (size_t d = 0; d < cell->size(); ++d) {
+    (*cell)[d] = static_cast<int64_t>(std::floor(p[d] / radius));
+  }
+}
+
+// Packs up to 3 grid-cell coordinates (21 bits each, offset to stay
+// positive) into one hash key.
+uint64_t PackGridCell(const std::vector<int64_t>& cell) {
+  uint64_t key = 0;
+  for (int64_t coord : cell) {
+    int64_t c = coord + (1 << 20);
+    key = (key << 21) | static_cast<uint64_t>(c & ((1 << 21) - 1));
+  }
+  return key;
+}
+
 }  // namespace
 
 bool GridCompatible(const DistanceMetric& metric, size_t dim, size_t n) {
@@ -33,43 +51,18 @@ bool GridCompatible(const DistanceMetric& metric, size_t dim, size_t n) {
   return dim >= 1 && dim <= 3 && n >= 256;
 }
 
-uint64_t PackGridCell(const int64_t* cell, size_t dim) {
-  // Pack up to 3 cell coordinates (21 bits each, offset to stay positive).
-  uint64_t key = 0;
-  for (size_t d = 0; d < dim; ++d) {
-    int64_t c = cell[d] + (1 << 20);
-    key = (key << 21) | static_cast<uint64_t>(c & ((1 << 21) - 1));
-  }
-  return key;
-}
-
 size_t BuildAdjacencyBruteForce(const Dataset& dataset,
                                 const DistanceMetric& metric, double radius,
                                 ThreadPool* pool, AdjacencyLists* adjacency) {
   const size_t n = dataset.size();
   size_t num_edges = 0;
-  if (pool == nullptr || pool->threads() <= 1) {
-    // One distance computation per unordered pair: j starts above i and the
-    // edge is recorded at both endpoints (the regression test in
-    // tests/neighborhood_test.cc pins the call count to n(n-1)/2).
-    for (ObjectId i = 0; i < n; ++i) {
-      for (ObjectId j = i + 1; j < n; ++j) {
-        if (metric.Distance(dataset.point(i), dataset.point(j)) <= radius) {
-          (*adjacency)[i].push_back(j);
-          (*adjacency)[j].push_back(i);
-          ++num_edges;
-        }
-      }
-    }
-    return num_edges;
-  }
-
-  // Chunks of rows collect (i, j) pairs into private buffers; merging in
-  // ascending chunk order reproduces the serial (i asc, j asc) edge
-  // sequence exactly, so the graph is byte-identical for any thread count.
-  const size_t grain = RecommendedGrain(n, pool->threads());
+  // One distance computation per unordered pair: j starts above i (the
+  // regression test in tests/neighborhood_test.cc pins the call count to
+  // n(n-1)/2). Chunks of rows collect (i, j) pairs into private buffers;
+  // merging in ascending chunk order gives the (i asc, j asc) edge sequence
+  // for any thread count.
   ParallelOrderedReduce<EdgeList>(
-      pool, 0, n, grain,
+      pool, 0, n, RecommendedGrain(n, pool),
       [&](size_t chunk_begin, size_t chunk_end) {
         EdgeList edges;
         for (size_t i = chunk_begin; i < chunk_end; ++i) {
@@ -94,94 +87,60 @@ size_t BuildAdjacencyWithGrid(const Dataset& dataset,
   const size_t n = dataset.size();
   const size_t dim = dataset.dim();
   size_t num_edges = 0;
-  uint64_t distance_calls = 0;
+  *distance_computations = 0;
 
   // Hash points into cells of side r; any neighbor pair lies in the same or
   // an adjacent cell along every axis.
-  std::vector<int64_t> scratch(dim);
-  auto cell_key = [&](const Point& p) {
-    for (size_t d = 0; d < dim; ++d) {
-      scratch[d] = static_cast<int64_t>(std::floor(p[d] / radius));
-    }
-    return PackGridCell(scratch.data(), dim);
-  };
-
   std::unordered_map<uint64_t, std::vector<ObjectId>> cells;
   cells.reserve(n);
+  std::vector<int64_t> cell(dim);
   for (ObjectId i = 0; i < n; ++i) {
-    cells[cell_key(dataset.point(i))].push_back(i);
+    CellOf(dataset.point(i), radius, &cell);
+    cells[PackGridCell(cell)].push_back(i);
   }
 
   // Enumerate each point's 3^dim neighboring cells; the cell map is shared
   // read-only once populated. One distance computation per unordered
   // candidate pair (the j <= i skip dedupes the two enumerations that see
-  // the pair). `count` accumulates the candidate-pair count per chunk, so
-  // the reported distance-computation total is thread-count independent.
+  // the pair). Each chunk counts its candidate pairs, so the reported
+  // distance-computation total is thread-count independent.
   const size_t num_offsets = static_cast<size_t>(std::pow(3.0, dim));
-  auto scan_rows = [&](size_t row_begin, size_t row_end, uint64_t* count,
-                       auto&& emit) {
-    std::vector<int64_t> base(dim);
-    std::vector<int64_t> probe(dim);
-    for (size_t i = row_begin; i < row_end; ++i) {
-      const Point& p = dataset.point(i);
-      for (size_t d = 0; d < dim; ++d) {
-        base[d] = static_cast<int64_t>(std::floor(p[d] / radius));
-      }
-      for (size_t mask = 0; mask < num_offsets; ++mask) {
-        size_t rem = mask;
-        for (size_t d = 0; d < dim; ++d) {
-          probe[d] = base[d] + static_cast<int64_t>(rem % 3) - 1;
-          rem /= 3;
-        }
-        auto it = cells.find(PackGridCell(probe.data(), dim));
-        if (it == cells.end()) continue;
-        for (ObjectId j : it->second) {
-          if (j <= i) continue;  // each unordered pair once
-          ++*count;
-          if (metric.Distance(p, dataset.point(j)) <= radius) {
-            emit(static_cast<ObjectId>(i), j);
-          }
-        }
-      }
-    }
-  };
-
-  if (pool == nullptr || pool->threads() <= 1) {
-    // Serial: stream edges straight into the adjacency lists (no O(E)
-    // staging buffer).
-    scan_rows(0, n, &distance_calls, [&](ObjectId i, ObjectId j) {
-      (*adjacency)[i].push_back(j);
-      (*adjacency)[j].push_back(i);
-      ++num_edges;
-    });
-    if (distance_computations != nullptr) {
-      *distance_computations = distance_calls;
-    }
-    return num_edges;
-  }
-
   struct ChunkEdges {
     EdgeList edges;
     uint64_t distance_calls = 0;
   };
-  const size_t grain = RecommendedGrain(n, pool->threads());
   ParallelOrderedReduce<ChunkEdges>(
-      pool, 0, n, grain,
+      pool, 0, n, RecommendedGrain(n, pool),
       [&](size_t chunk_begin, size_t chunk_end) {
         ChunkEdges chunk;
-        scan_rows(chunk_begin, chunk_end, &chunk.distance_calls,
-                  [&](ObjectId i, ObjectId j) {
-                    chunk.edges.emplace_back(i, j);
-                  });
+        std::vector<int64_t> base(dim);
+        std::vector<int64_t> probe(dim);
+        for (size_t i = chunk_begin; i < chunk_end; ++i) {
+          const Point& p = dataset.point(i);
+          CellOf(p, radius, &base);
+          for (size_t mask = 0; mask < num_offsets; ++mask) {
+            size_t rem = mask;
+            for (size_t d = 0; d < dim; ++d) {
+              probe[d] = base[d] + static_cast<int64_t>(rem % 3) - 1;
+              rem /= 3;
+            }
+            auto it = cells.find(PackGridCell(probe));
+            if (it == cells.end()) continue;
+            for (ObjectId j : it->second) {
+              if (j <= i) continue;  // each unordered pair once
+              ++chunk.distance_calls;
+              if (metric.Distance(p, dataset.point(j)) <= radius) {
+                chunk.edges.emplace_back(static_cast<ObjectId>(i), j);
+              }
+            }
+          }
+        }
         return chunk;
       },
       [&](ChunkEdges& chunk) {
         num_edges += MergeEdges(chunk.edges, adjacency);
-        distance_calls += chunk.distance_calls;
+        *distance_computations += chunk.distance_calls;
       });
-  if (distance_computations != nullptr) {
-    *distance_computations = distance_calls;
-  }
   return num_edges;
 }
 

@@ -1,19 +1,19 @@
 // Shared adjacency builders for the r-neighborhood computation.
 //
-// These free functions are the two M-tree-free build paths that
-// graph/neighborhood.h historically owned as private methods: the exact
-// O(n^2) pairwise scan and the uniform-grid accelerator. They live in the
-// neighbor layer so both NeighborhoodGraph (the graph-layer facade) and the
-// pluggable neighbor backends (neighbor/backend.h) can share one
-// implementation — the builders are the ground truth every other backend is
-// measured against, so there must be exactly one copy of them.
+// These free functions are the two M-tree-free ways to compute N_r(p) for
+// every object: the exact O(n^2) pairwise scan and the uniform-grid
+// accelerator. GridBackend::BuildNeighborhoods (neighbor/grid_backend.h) is
+// the one place that chooses between them, and every graph built from a
+// dataset goes through it. The brute-force scan is also the reference
+// oracle the tests hold every backend to, so there is exactly one copy of
+// each builder.
 //
-// Both builders follow the util/parallel.h determinism contract: with a
-// pool, the object range splits into chunks by a pure function of
-// (0, n, grain), per-chunk edge buffers merge in ascending chunk order, and
-// the appended adjacency entries are byte-identical to the serial loop for
-// every thread count. Appended neighbor lists are NOT sorted — callers sort
-// once at the end, exactly as NeighborhoodGraph always has.
+// Both builders are one util/parallel.h ordered reduction at any thread
+// count (a null pool runs the same chunks in order on the calling thread):
+// the object range splits into chunks by a pure function of (0, n, grain),
+// per-chunk edge buffers merge in ascending chunk order, and the appended
+// adjacency entries are byte-identical for every thread count. Appended
+// neighbor lists are NOT sorted — callers sort once at the end.
 
 #ifndef DISC_NEIGHBOR_ADJACENCY_H_
 #define DISC_NEIGHBOR_ADJACENCY_H_
@@ -40,14 +40,9 @@ using AdjacencyLists = std::vector<std::vector<ObjectId>>;
 /// at 3.
 bool GridCompatible(const DistanceMetric& metric, size_t dim, size_t n);
 
-/// Packs up to 3 grid-cell coordinates (21 bits each, offset to stay
-/// positive) into one hash key — the cell scheme shared by the grid builder
-/// below and GridBackend's per-radius point-query index.
-uint64_t PackGridCell(const int64_t* cell, size_t dim);
-
 /// Exact O(n^2) pairwise scan: one distance computation per unordered pair;
-/// each edge (i, j), i < j, is appended to both endpoints' lists in the
-/// serial (i asc, j asc) order. `adjacency` must already hold dataset.size()
+/// each edge (i, j), i < j, is appended to both endpoints' lists in
+/// (i asc, j asc) order. `adjacency` must already hold dataset.size()
 /// (possibly non-empty) lists. Returns the number of undirected edges added.
 size_t BuildAdjacencyBruteForce(const Dataset& dataset,
                                 const DistanceMetric& metric, double radius,
@@ -57,14 +52,14 @@ size_t BuildAdjacencyBruteForce(const Dataset& dataset,
 /// hashes points into cells of side r and compares only same-or-adjacent
 /// cell pairs — still exactly one distance computation per unordered
 /// candidate pair, and the same append order and return value contract as
-/// BuildAdjacencyBruteForce. Produces the identical edge set. When
-/// `distance_computations` is non-null it receives the number of metric
-/// evaluations performed (the candidate-pair count), accumulated in chunk
-/// order so the total is thread-count independent.
+/// BuildAdjacencyBruteForce. Produces the identical edge set.
+/// `distance_computations` receives the number of metric evaluations
+/// performed (the candidate-pair count), accumulated in chunk order so the
+/// total is thread-count independent.
 size_t BuildAdjacencyWithGrid(const Dataset& dataset,
                               const DistanceMetric& metric, double radius,
                               ThreadPool* pool, AdjacencyLists* adjacency,
-                              uint64_t* distance_computations = nullptr);
+                              uint64_t* distance_computations);
 
 }  // namespace disc
 

@@ -117,38 +117,28 @@ Status NeighborBackend::BuildNeighborhoods(double radius, ThreadPool* pool,
   const size_t n = size();
   adjacency->assign(n, {});
   size_t directed = 0;
-  if (pool == nullptr || pool->threads() <= 1) {
-    AccessStats local;
-    for (ObjectId i = 0; i < n; ++i) {
-      RangeQueryAround(i, radius, &(*adjacency)[i], &local);
-      directed += (*adjacency)[i].size();
-    }
-    stats_ += local;
-  } else {
-    // Adjacency rows are disjoint per object, so chunks write them in
-    // place; accounting goes to per-chunk sinks summed back in chunk order
-    // (exact integer totals, same as serial).
-    struct ChunkResult {
-      AccessStats stats;
-      size_t directed_edges = 0;
-    };
-    const size_t grain = RecommendedGrain(n, pool->threads());
-    ParallelOrderedReduce<ChunkResult>(
-        pool, 0, n, grain,
-        [&](size_t chunk_begin, size_t chunk_end) {
-          ChunkResult result;
-          for (size_t i = chunk_begin; i < chunk_end; ++i) {
-            RangeQueryAround(static_cast<ObjectId>(i), radius,
-                             &(*adjacency)[i], &result.stats);
-            result.directed_edges += (*adjacency)[i].size();
-          }
-          return result;
-        },
-        [&](ChunkResult& result) {
-          stats_ += result.stats;
-          directed += result.directed_edges;
-        });
-  }
+  // Adjacency rows are disjoint per object, so chunks write them in place;
+  // accounting goes to per-chunk sinks summed into stats() in chunk order
+  // (exact integer totals at any thread count).
+  struct ChunkResult {
+    AccessStats stats;
+    size_t directed_edges = 0;
+  };
+  ParallelOrderedReduce<ChunkResult>(
+      pool, 0, n, RecommendedGrain(n, pool),
+      [&](size_t chunk_begin, size_t chunk_end) {
+        ChunkResult result;
+        for (size_t i = chunk_begin; i < chunk_end; ++i) {
+          RangeQueryAround(static_cast<ObjectId>(i), radius, &(*adjacency)[i],
+                           &result.stats);
+          result.directed_edges += (*adjacency)[i].size();
+        }
+        return result;
+      },
+      [&](ChunkResult& result) {
+        stats_ += result.stats;
+        directed += result.directed_edges;
+      });
   if (!exact()) directed = SymmetrizeAdjacency(adjacency);
   if (num_edges != nullptr) *num_edges = directed / 2;
   return Status::OK();

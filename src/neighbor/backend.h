@@ -1,18 +1,19 @@
 // Pluggable neighbor backends: the r-neighborhood computation as a service.
 //
-// Every DisC pass is dominated by computing N_r(p) (§4–§6 of the paper), and
-// until this layer existed the only providers were the exact paths wired
-// directly into NeighborhoodGraph: the O(n^2) scan, the uniform grid, and
-// one M-tree range query per object. All three bind memory or time at a few
-// tens of thousands of points. The paper's own NP-hardness result (§3)
-// makes principled approximation the honest way past that ceiling, so this
-// layer defines one interface — range query at radius r plus a batched
+// Every DisC pass is dominated by computing N_r(p) (§4–§6 of the paper). The
+// exact ways to compute it — the O(n^2) scan, the uniform grid, one M-tree
+// range query per object — all bind memory or time at a few tens of
+// thousands of points, and the paper's own NP-hardness result (§3) makes
+// principled approximation the honest way past that ceiling. This layer
+// defines one interface — range query at radius r plus a batched
 // neighborhood build, with accounting compatible with MTree::AccessStats —
-// and four engines behind it:
+// and four engines behind it. Every G_P,r the library builds
+// (graph/neighborhood.h) comes from BuildNeighborhoods on one of them:
 //
 //   * ExactMTreeBackend  — an owned M-tree, one range query per object.
-//   * GridBackend        — the uniform-grid accelerator (exact; batched
-//                          builds only pay the grid price once).
+//   * GridBackend        — the dataset scan: batched builds use the
+//                          uniform-grid accelerator when it applies and the
+//                          exact O(n^2) scan otherwise.
 //   * LshBackend         — multi-probe locality-sensitive hashing over
 //                          Minkowski metrics: candidates from hash buckets,
 //                          verified with exact distances, so reported
@@ -26,9 +27,10 @@
 //                          ordered-reduction contract again, so exact shards
 //                          reproduce the unsharded neighbor sets exactly.
 //
-// Backends are immutable once constructed (LSH builds its per-radius hash
-// index lazily under a lock; it is read-only afterwards), so batched builds
-// may fan queries out across a thread pool. Accounting follows the M-tree's
+// Backends are immutable once constructed (LSH builds the hash index for
+// the radius being queried lazily under a lock and keeps only the latest
+// one; each index is read-only), so batched builds may fan queries out
+// across a thread pool. Accounting follows the M-tree's
 // convention: every query charges node accesses (bucket probes for LSH),
 // distance computations, and one range query to a caller-supplied sink or,
 // when none is given, to the backend's own running stats().
@@ -152,11 +154,11 @@ class NeighborBackend {
   /// `adjacency` is resized to size() and entry v receives N_r(v) sorted
   /// ascending; `num_edges` receives the undirected edge count. For
   /// approximate backends the result is symmetrized (i lists j iff j lists
-  /// i) so it is a well-formed graph. The default implementation fans
-  /// RangeQueryAround over the pool under the ordered-reduction contract
-  /// with per-chunk stat sinks, so both the lists and the stats totals are
-  /// byte-identical to the serial loop at any thread count; backends with a
-  /// cheaper batch path (the grid) override it.
+  /// i) so it is a well-formed graph. The default implementation is one
+  /// ordered reduction of RangeQueryAround over the pool with per-chunk stat
+  /// sinks, so both the lists and the stats totals are byte-identical at any
+  /// thread count (a null pool included); backends with a cheaper batch path
+  /// (the grid) override it.
   virtual Status BuildNeighborhoods(double radius, ThreadPool* pool,
                                     AdjacencyLists* adjacency,
                                     size_t* num_edges) const;

@@ -15,13 +15,11 @@ Status GridBackend::BuildNeighborhoods(double radius, ThreadPool* pool,
   AccessStats batch;
   batch.range_queries = n;
   if (GridCompatible(metric_, dataset_.dim(), n) && radius > 0) {
-    uint64_t distance_calls = 0;
     edges = BuildAdjacencyWithGrid(dataset_, metric_, radius, pool, adjacency,
-                                   &distance_calls);
+                                   &batch.distance_computations);
     const uint64_t num_offsets =
         static_cast<uint64_t>(std::pow(3.0, dataset_.dim()));
     batch.node_accesses = static_cast<uint64_t>(n) * num_offsets;
-    batch.distance_computations = distance_calls;
   } else {
     edges = BuildAdjacencyBruteForce(dataset_, metric_, radius, pool,
                                      adjacency);
@@ -35,65 +33,16 @@ Status GridBackend::BuildNeighborhoods(double radius, ThreadPool* pool,
   return Status::OK();
 }
 
-const GridBackend::CellIndex& GridBackend::EnsureIndex(double radius) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = indexes_.find(radius);
-  if (it != indexes_.end()) return *it->second;
-  auto index = std::make_unique<CellIndex>();
-  const size_t dim = dataset_.dim();
-  std::vector<int64_t> cell(dim);
-  index->cells.reserve(dataset_.size());
-  for (ObjectId i = 0; i < dataset_.size(); ++i) {
-    const Point& p = dataset_.point(i);
-    for (size_t d = 0; d < dim; ++d) {
-      cell[d] = static_cast<int64_t>(std::floor(p[d] / radius));
-    }
-    index->cells[PackGridCell(cell.data(), dim)].push_back(i);
-  }
-  return *indexes_.emplace(radius, std::move(index)).first->second;
-}
-
 void GridBackend::DoRangeQuery(const Point& center, ObjectId exclude,
                                double radius, std::vector<ObjectId>* out,
                                AccessStats* sink) const {
   sink->range_queries += 1;
-  const size_t n = dataset_.size();
-  if (!GridCompatible(metric_, dataset_.dim(), n) || radius <= 0) {
-    // Exact fallback: a single full scan.
-    sink->node_accesses += 1;
-    for (ObjectId j = 0; j < n; ++j) {
-      if (j == exclude) continue;
-      ++sink->distance_computations;
-      if (metric_.Distance(center, dataset_.point(j)) <= radius) {
-        out->push_back(j);
-      }
-    }
-    return;
-  }
-
-  const CellIndex& index = EnsureIndex(radius);
-  const size_t dim = dataset_.dim();
-  std::vector<int64_t> base(dim);
-  std::vector<int64_t> probe(dim);
-  for (size_t d = 0; d < dim; ++d) {
-    base[d] = static_cast<int64_t>(std::floor(center[d] / radius));
-  }
-  const size_t num_offsets = static_cast<size_t>(std::pow(3.0, dim));
-  for (size_t mask = 0; mask < num_offsets; ++mask) {
-    size_t rem = mask;
-    for (size_t d = 0; d < dim; ++d) {
-      probe[d] = base[d] + static_cast<int64_t>(rem % 3) - 1;
-      rem /= 3;
-    }
-    ++sink->node_accesses;
-    auto it = index.cells.find(PackGridCell(probe.data(), dim));
-    if (it == index.cells.end()) continue;
-    for (ObjectId j : it->second) {
-      if (j == exclude) continue;
-      ++sink->distance_computations;
-      if (metric_.Distance(center, dataset_.point(j)) <= radius) {
-        out->push_back(j);
-      }
+  sink->node_accesses += 1;
+  for (ObjectId j = 0; j < dataset_.size(); ++j) {
+    if (j == exclude) continue;
+    ++sink->distance_computations;
+    if (metric_.Distance(center, dataset_.point(j)) <= radius) {
+      out->push_back(j);
     }
   }
 }

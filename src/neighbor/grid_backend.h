@@ -1,26 +1,24 @@
-// GridBackend: the uniform-grid accelerator behind the NeighborBackend
-// interface. Exact — identical neighbor sets to the brute-force scan.
+// GridBackend: the exact dataset-scan neighbor engine, and the one place that
+// chooses how G_P,r is built from a dataset. Exact — identical neighbor sets
+// to the brute-force scan.
 //
-// Batched builds reuse the shared adjacency builders (neighbor/adjacency.h),
-// paying the cell-map price once per radius. Point queries keep a lazily
-// built per-radius cell index (immutable once built, guarded by a mutex on
-// the lookup) and probe the 3^dim surrounding cells. When the grid does not
-// apply (Hamming metric, dim > 3, tiny inputs) every path falls back to the
-// exact O(n^2)/O(n) scans — the fallback CreateNeighborBackend's
-// max_exact_points cap guards against at daemon scale.
+// BuildNeighborhoods picks the uniform-grid accelerator when it applies
+// (GridCompatible: a Minkowski metric, dim <= 3, n >= 256, r > 0) and the
+// exact O(n^2) pairwise scan otherwise; both are the shared builders in
+// neighbor/adjacency.h. NeighborhoodGraph's dataset constructor is this
+// backend plus FromBackend. The scan fallback is what
+// CreateNeighborBackend's max_exact_points cap guards against at daemon
+// scale. Point queries keep no index: each is one exact scan of the dataset.
 //
-// Accounting: each point query charges one range query, one node access per
-// probed cell (or one for a brute fallback scan), and one distance
-// computation per verified candidate. Batched grid builds charge n range
-// queries, n * 3^dim cell probes, and the exact candidate-pair count.
+// Accounting: each point query charges one range query, one node access
+// and one distance computation per object it compares. A batched grid
+// build charges n range queries, n * 3^dim cell probes and the exact
+// candidate-pair count; a batched scan charges n range queries, n node
+// accesses and n(n-1)/2 distance computations.
 
 #ifndef DISC_NEIGHBOR_GRID_BACKEND_H_
 #define DISC_NEIGHBOR_GRID_BACKEND_H_
 
-#include <map>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "neighbor/backend.h"
@@ -44,18 +42,6 @@ class GridBackend final : public NeighborBackend {
   void DoRangeQuery(const Point& center, ObjectId exclude, double radius,
                     std::vector<ObjectId>* out,
                     AccessStats* sink) const override;
-
- private:
-  struct CellIndex {
-    std::unordered_map<uint64_t, std::vector<ObjectId>> cells;
-  };
-
-  /// Returns the cell index for this radius, building it on first use.
-  /// The returned object is immutable; the mutex guards only the map.
-  const CellIndex& EnsureIndex(double radius) const;
-
-  mutable std::mutex mutex_;
-  mutable std::map<double, std::unique_ptr<CellIndex>> indexes_;
 };
 
 }  // namespace disc

@@ -20,15 +20,17 @@
 // deterministic: directions and offsets come from util/Random seeded by
 // LshOptions::seed, so equal seeds yield equal graphs on every platform.
 //
-// The per-radius hash index is built lazily on first use (bucket width
-// depends on r), immutable afterwards; concurrent queries are safe.
+// The hash index depends on r (bucket width), so it is built lazily for the
+// radius being queried and is immutable afterwards. Only the latest radius's
+// index is kept: a query at a new radius replaces it. Queries hold the index
+// they read by shared ownership, so a concurrent query at another radius
+// never frees it under them; concurrent queries are safe.
 // Accounting: one range query per query, one node access per probed bucket,
 // one distance computation per verified candidate.
 
 #ifndef DISC_NEIGHBOR_LSH_BACKEND_H_
 #define DISC_NEIGHBOR_LSH_BACKEND_H_
 
-#include <map>
 #include <memory>
 #include <shared_mutex>
 #include <unordered_map>
@@ -48,11 +50,9 @@ class LshBackend final : public NeighborBackend {
 
   const LshOptions& options() const { return options_; }
 
-  /// Default fan-out build, except the radius index is built once up front
-  /// so workers never contend on the lazy-construction lock.
-  Status BuildNeighborhoods(double radius, ThreadPool* pool,
-                            AdjacencyLists* adjacency,
-                            size_t* num_edges) const override;
+  /// Bucket entries the backend currently holds: tables * n while an index
+  /// is live, 0 before the first positive-radius query.
+  size_t bucket_entries() const;
 
  protected:
   void DoRangeQuery(const Point& center, ObjectId exclude, double radius,
@@ -67,17 +67,22 @@ class LshBackend final : public NeighborBackend {
     std::unordered_map<uint64_t, std::vector<ObjectId>> buckets;
   };
   struct Index {
+    double radius = 0;
     double width = 0;
     std::vector<Table> tables;
   };
 
-  /// Returns the index for this radius, building it on first use. The
-  /// returned object is immutable; the shared mutex guards only the map.
-  const Index& EnsureIndex(double radius) const;
+  /// Returns the index for this radius, replacing the held one when it was
+  /// built for another radius. The returned object is immutable; the shared
+  /// mutex guards only the pointer.
+  std::shared_ptr<const Index> EnsureIndex(double radius) const;
+
+  /// Hashes every object into a fresh index for this radius.
+  std::unique_ptr<Index> BuildIndex(double radius) const;
 
   const LshOptions options_;
   mutable std::shared_mutex mutex_;
-  mutable std::map<double, std::unique_ptr<Index>> indexes_;
+  mutable std::shared_ptr<const Index> index_;  // the latest radius's only
 };
 
 }  // namespace disc

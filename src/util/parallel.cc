@@ -89,8 +89,8 @@ ChunkRange Chunk(size_t begin, size_t end, size_t grain, size_t index) {
   return range;
 }
 
-size_t RecommendedGrain(size_t n, size_t threads) {
-  const size_t workers = std::max<size_t>(1, threads);
+size_t RecommendedGrain(size_t n, const ThreadPool* pool) {
+  const size_t workers = pool == nullptr ? 1 : pool->threads();
   const size_t grain = n / (workers * 8);
   return std::clamp<size_t>(grain, 1, 1024);
 }

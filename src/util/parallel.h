@@ -16,11 +16,14 @@
 //     sums, list appends) are byte-identical to the serial loop.
 //
 // ParallelFor and ParallelOrderedReduce run the chunks in ascending order on
-// the calling thread for a null or 1-thread pool. A pass written as one
-// ordered reduction (the M-tree's neighbor-count pass) therefore needs no
-// separate serial branch. Passes whose serial loop differs from the chunked
-// one (e.g. a shared output buffer filled in place) gate on
-// `pool == nullptr || pool->threads() <= 1` and keep that loop.
+// the calling thread for a null or 1-thread pool, so every neighborhood pass
+// (the adjacency builders, NeighborBackend::BuildNeighborhoods, the M-tree's
+// neighbor-count pass, the bulk loader's nearest-seed assignment) is one
+// ordered reduction at any thread count, with no serial copy. Only the
+// greedy selection loops (core/disc_algorithms.cc, core/greedy_c.cc,
+// core/speculation.cc) keep a serial branch: they fan out once per selected
+// object over a handful of updates, where a chunked pass would cost more
+// than the work it splits.
 
 #ifndef DISC_UTIL_PARALLEL_H_
 #define DISC_UTIL_PARALLEL_H_
@@ -101,9 +104,10 @@ size_t NumChunks(size_t begin, size_t end, size_t grain);
 /// The `index`-th chunk of the decomposition NumChunks describes.
 ChunkRange Chunk(size_t begin, size_t end, size_t grain, size_t index);
 
-/// A grain that yields roughly 8 chunks per worker (dynamic distribution
-/// then absorbs per-chunk work imbalance), clamped to [1, 1024].
-size_t RecommendedGrain(size_t n, size_t threads);
+/// A grain that yields roughly 8 chunks per worker of `pool` (dynamic
+/// distribution then absorbs per-chunk work imbalance), clamped to
+/// [1, 1024]. A null pool counts as one worker.
+size_t RecommendedGrain(size_t n, const ThreadPool* pool);
 
 /// Runs body(chunk_begin, chunk_end) for every chunk of [begin, end).
 /// With a null pool or one thread the chunks run serially in ascending

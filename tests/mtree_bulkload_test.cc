@@ -22,6 +22,8 @@
 #include "graph/properties.h"
 #include "metric/metric.h"
 #include "mtree/mtree.h"
+#include "neighbor/adjacency.h"
+#include "neighbor/exact_backend.h"
 #include "util/parallel.h"
 
 namespace disc {
@@ -315,20 +317,26 @@ TEST(MTreeBulkLoad, IndexBackedNeighborhoodGraphMatchesDirectBuild) {
   EuclideanMetric metric;
   const Dataset dataset = MakeClusteredDataset(350, 2, 21);
   const double radius = 0.07;
-  const NeighborhoodGraph direct(dataset, metric, radius);
+  // The reference O(n^2) scan, independent of every index.
+  AdjacencyLists direct(dataset.size());
+  const size_t direct_edges =
+      BuildAdjacencyBruteForce(dataset, metric, radius, nullptr, &direct);
+  for (auto& list : direct) std::sort(list.begin(), list.end());
 
   for (BuildStrategy strategy :
        {BuildStrategy::kInsertAtATime, BuildStrategy::kBulkLoad}) {
     MTreeOptions options;
     options.node_capacity = 16;
     options.build.strategy = strategy;
-    MTree tree(dataset, metric, options);
-    ASSERT_TRUE(tree.Build().ok());
-    const NeighborhoodGraph indexed(tree, radius);
-    ASSERT_EQ(indexed.num_vertices(), direct.num_vertices());
-    EXPECT_EQ(indexed.num_edges(), direct.num_edges());
-    for (ObjectId v = 0; v < direct.num_vertices(); ++v) {
-      EXPECT_EQ(indexed.neighbors(v), direct.neighbors(v))
+    auto backend = ExactMTreeBackend::Create(dataset, metric, options);
+    ASSERT_TRUE(backend.ok()) << backend.status().ToString();
+    auto indexed = NeighborhoodGraph::FromBackend(**backend, radius);
+    ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
+    ASSERT_EQ(indexed->num_vertices(), direct.size());
+    EXPECT_EQ(indexed->num_edges(), direct_edges);
+    EXPECT_EQ((*backend)->stats().range_queries, dataset.size());
+    for (ObjectId v = 0; v < direct.size(); ++v) {
+      EXPECT_EQ(indexed->neighbors(v), direct[v])
           << "strategy=" << BuildStrategyToString(strategy) << " v=" << v;
     }
   }

@@ -1,13 +1,16 @@
 // Property tests for the pluggable neighbor backends (neighbor/backend.h).
 //
-// The contracts under test (ISSUE 8):
+// The contracts under test:
 //  * exact family (exact, grid, sharded-with-exact-shards): the adjacency
-//    structure is byte-identical to NeighborhoodGraph's own build paths, at
-//    every thread count — sharding and fan-out may not change a single id;
+//    structure is byte-identical to the reference O(n^2) scan, and its
+//    accounting is identical, at every thread count — sharding and fan-out
+//    may not change a single id or counter;
 //  * LSH family: deterministic for a fixed seed, always a SUBSET of the true
 //    neighbor sets (candidates are distance-verified), and recall on the
 //    paper workloads clears the documented default-config floor;
 //  * lsh-sharded equals unsharded lsh byte-for-byte (same seed per shard);
+//  * an LSH backend holds the index of the latest radius only, and a
+//    concurrent query at another radius never frees an index in use;
 //  * the exact-family guardrail refuses datasets above max_exact_points
 //    with InvalidArgument instead of risking the O(n^2) fallback;
 //  * stats accounting: one range_queries unit per logical query regardless
@@ -18,7 +21,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <algorithm>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -26,6 +31,8 @@
 #include "eval/neighbor_eval.h"
 #include "graph/neighborhood.h"
 #include "metric/metric.h"
+#include "neighbor/adjacency.h"
+#include "neighbor/lsh_backend.h"
 #include "neighbor/sharded_backend.h"
 #include "util/parallel.h"
 
@@ -56,14 +63,13 @@ AdjacencyLists BuildLists(const NeighborBackend& backend, double radius,
   return adjacency;
 }
 
-/// The ground-truth adjacency structure, straight from the graph layer.
+/// The ground-truth adjacency structure: the reference O(n^2) scan, which
+/// no backend's index or grid takes part in.
 AdjacencyLists OracleLists(const Dataset& dataset,
                            const DistanceMetric& metric, double radius) {
-  NeighborhoodGraph graph(dataset, metric, radius);
-  AdjacencyLists lists(graph.num_vertices());
-  for (ObjectId v = 0; v < graph.num_vertices(); ++v) {
-    lists[v] = graph.neighbors(v);
-  }
+  AdjacencyLists lists(dataset.size());
+  BuildAdjacencyBruteForce(dataset, metric, radius, nullptr, &lists);
+  for (auto& list : lists) std::sort(list.begin(), list.end());
   return lists;
 }
 
@@ -122,7 +128,7 @@ TEST(NeighborBackendTest, DefaultShardCountIsAPureFunctionOfN) {
 }
 
 // ---------------------------------------------------------------------------
-// Exact family: byte-identical to the graph layer at every thread count
+// Exact family: byte-identical to the reference scan at every thread count
 // ---------------------------------------------------------------------------
 
 TEST(NeighborBackendTest, ExactFamilyMatchesGraphLayerAtEveryThreadCount) {
@@ -136,13 +142,26 @@ TEST(NeighborBackendTest, ExactFamilyMatchesGraphLayerAtEveryThreadCount) {
         NeighborBackendKind::kSharded}) {
     auto backend = MustCreate(dataset, metric, Options(kind));
     ASSERT_NE(backend, nullptr);
+    AccessStats one_thread;
     for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
       std::unique_ptr<ThreadPool> pool =
           threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
+      backend->ResetStats();
       AdjacencyLists lists = BuildLists(*backend, radius, pool.get());
       EXPECT_EQ(lists, oracle)
           << NeighborBackendKindToString(kind) << " at " << threads
-          << " threads diverged from the graph layer";
+          << " threads diverged from the reference scan";
+      // Per-chunk sinks summed in chunk order: the accounting of a build is
+      // the same at every thread count, down to the last node access.
+      if (threads == 1) {
+        one_thread = backend->stats();
+        EXPECT_EQ(one_thread.range_queries, dataset.size())
+            << NeighborBackendKindToString(kind);
+      } else {
+        EXPECT_EQ(backend->stats(), one_thread)
+            << NeighborBackendKindToString(kind) << " at " << threads
+            << " threads charged different stats";
+      }
     }
   }
 }
@@ -151,18 +170,22 @@ TEST(NeighborBackendTest, FromBackendReproducesDirectGraphForExactKinds) {
   const Dataset dataset = MakeUniformDataset(800, 3, 5);
   EuclideanMetric metric;
   const double radius = 0.12;
-  NeighborhoodGraph direct(dataset, metric, radius);
+  const AdjacencyLists direct = OracleLists(dataset, metric, radius);
+  size_t direct_edges = 0;
+  for (const auto& list : direct) direct_edges += list.size();
+  direct_edges /= 2;
 
   for (NeighborBackendKind kind :
-       {NeighborBackendKind::kExact, NeighborBackendKind::kSharded}) {
+       {NeighborBackendKind::kExact, NeighborBackendKind::kGrid,
+        NeighborBackendKind::kSharded}) {
     auto backend = MustCreate(dataset, metric, Options(kind));
     ASSERT_NE(backend, nullptr);
     auto graph = NeighborhoodGraph::FromBackend(*backend, radius);
     ASSERT_TRUE(graph.ok()) << graph.status().ToString();
-    ASSERT_EQ(graph->num_vertices(), direct.num_vertices());
-    EXPECT_EQ(graph->num_edges(), direct.num_edges());
-    for (ObjectId v = 0; v < direct.num_vertices(); ++v) {
-      ASSERT_EQ(graph->neighbors(v), direct.neighbors(v))
+    ASSERT_EQ(graph->num_vertices(), direct.size());
+    EXPECT_EQ(graph->num_edges(), direct_edges);
+    for (ObjectId v = 0; v < direct.size(); ++v) {
+      ASSERT_EQ(graph->neighbors(v), direct[v])
           << NeighborBackendKindToString(kind) << " vertex " << v;
     }
   }
@@ -176,10 +199,21 @@ TEST(NeighborBackendTest, RangeQueryAroundExcludesCenterAndSorts) {
         NeighborBackendKind::kSharded}) {
     auto backend = MustCreate(dataset, metric, Options(kind, 4));
     ASSERT_NE(backend, nullptr);
+    backend->ResetStats();
     std::vector<ObjectId> out;
     backend->RangeQueryAround(55, 0.115, &out);  // axis neighbors only
     EXPECT_EQ(out, (std::vector<ObjectId>{45, 54, 56, 65}))
         << NeighborBackendKindToString(kind);
+    if (kind == NeighborBackendKind::kGrid) {
+      // A grid point query is one exact scan: per call, one range query,
+      // one node access, and a distance to every object but the center.
+      backend->RangeQueryAround(55, 0.115, &out);
+      AccessStats expected;
+      expected.range_queries = 2;
+      expected.node_accesses = 2;
+      expected.distance_computations = 2 * (dataset.size() - 1);
+      EXPECT_EQ(backend->stats(), expected);
+    }
   }
 }
 
@@ -274,6 +308,62 @@ TEST(NeighborBackendTest, LshAdjacencyIsSymmetric) {
           << "edge " << i << "->" << j << " has no reverse entry";
     }
   }
+}
+
+TEST(NeighborBackendTest, LshKeepsOnlyTheLatestRadiusIndex) {
+  const Dataset dataset = MakeClusteredDataset(300, 2, 19);
+  EuclideanMetric metric;
+  const LshOptions options;
+  LshBackend lsh(dataset, metric, options);
+  EXPECT_EQ(lsh.bucket_entries(), 0u);
+  // One table holds every object once, so a live index is tables * n
+  // entries; a pooled engine serving many radii must not grow past that.
+  const size_t one_index = options.tables * dataset.size();
+  for (double radius : {0.05, 0.07, 0.09, 0.05}) {
+    AdjacencyLists adjacency;
+    ASSERT_TRUE(lsh.BuildNeighborhoods(radius, nullptr, &adjacency, nullptr)
+                    .ok());
+    EXPECT_EQ(lsh.bucket_entries(), one_index) << "after radius " << radius;
+  }
+  // A rebuilt index is the same pure function of (seed, dim, radius).
+  LshBackend fresh(dataset, metric, options);
+  EXPECT_EQ(BuildLists(lsh, 0.07), BuildLists(fresh, 0.07));
+}
+
+TEST(NeighborBackendTest, LshQueriesAtTwoRadiiConcurrentlyMatchSerial) {
+  const Dataset dataset = MakeClusteredDataset(200, 2, 29);
+  EuclideanMetric metric;
+  const LshOptions options;
+  const double radii[2] = {0.05, 0.08};
+  // Expected answers from a backend no other thread touches.
+  LshBackend reference(dataset, metric, options);
+  std::vector<std::vector<ObjectId>> expected[2];
+  for (int r = 0; r < 2; ++r) {
+    for (ObjectId id = 0; id < dataset.size(); ++id) {
+      std::vector<ObjectId> out;
+      reference.RangeQueryAround(id, radii[r], &out);
+      expected[r].push_back(std::move(out));
+    }
+  }
+  // Two threads alternate the held index between the radii; each query
+  // keeps the index it reads alive, so every answer stays exact.
+  LshBackend shared(dataset, metric, options);
+  bool match[2] = {true, true};
+  auto run = [&](int r) {
+    AccessStats sink;
+    std::vector<ObjectId> out;
+    for (int pass = 0; pass < 3; ++pass) {
+      for (ObjectId id = 0; id < dataset.size(); ++id) {
+        shared.RangeQueryAround(id, radii[r], &out, &sink);
+        if (out != expected[r][id]) match[r] = false;
+      }
+    }
+  };
+  std::thread other(run, 1);
+  run(0);
+  other.join();
+  EXPECT_TRUE(match[0]);
+  EXPECT_TRUE(match[1]);
 }
 
 TEST(NeighborBackendTest, LshRejectsTheHammingMetric) {

@@ -8,6 +8,7 @@
 #include "data/generators.h"
 #include "metric/metric.h"
 #include "mtree/mtree.h"
+#include "neighbor/exact_backend.h"
 #include "util/parallel.h"
 
 namespace disc {
@@ -242,23 +243,27 @@ TEST(NeighborhoodGraphParallelTest, IndexBackedPathMatchesSerialWithStats) {
   EuclideanMetric metric;
   const double radius = 0.05;
 
-  MTree serial_tree(d, metric);
-  ASSERT_TRUE(serial_tree.Build().ok());
-  serial_tree.ResetStats();
-  NeighborhoodGraph serial(serial_tree, radius);
-  const AccessStats serial_stats = serial_tree.stats();
+  // One M-tree range query per object, through the exact backend over an
+  // insert-built tree.
+  auto backend = ExactMTreeBackend::Create(d, metric, MTreeOptions{});
+  ASSERT_TRUE(backend.ok()) << backend.status().ToString();
+  auto serial = NeighborhoodGraph::FromBackend(**backend, radius);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  const AccessStats serial_stats = (*backend)->stats();
+  EXPECT_EQ(serial_stats.range_queries, d.size());
 
   for (size_t threads : {2u, 4u}) {
-    MTree tree(d, metric);
-    ASSERT_TRUE(tree.Build().ok());
-    tree.ResetStats();
+    (*backend)->ResetStats();
     ThreadPool pool(threads);
-    NeighborhoodGraph parallel(tree, radius, &pool);
-    ExpectSameGraph(serial, parallel);
-    // Node-access accounting fans out through per-thread sinks and is
+    auto parallel = NeighborhoodGraph::FromBackend(**backend, radius, &pool);
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    ExpectSameGraph(*serial, *parallel);
+    // Node-access accounting fans out through per-chunk sinks and is
     // summed back: totals must be exactly the serial totals.
-    EXPECT_EQ(tree.stats(), serial_stats) << "threads " << threads;
+    EXPECT_EQ((*backend)->stats(), serial_stats) << "threads " << threads;
   }
+  // And the index path gives the dataset constructor's graph.
+  ExpectSameGraph(*serial, NeighborhoodGraph(d, metric, radius));
 }
 
 TEST(NeighborhoodGraphParallelTest, ParallelCountsMatchSerial) {

@@ -98,9 +98,15 @@ TEST(ChunkTest, ChunksTileTheRangeExactly) {
 }
 
 TEST(ChunkTest, RecommendedGrainBounded) {
-  EXPECT_GE(RecommendedGrain(0, 4), 1u);
-  EXPECT_LE(RecommendedGrain(1u << 30, 1), 1024u);
-  EXPECT_GE(RecommendedGrain(10000, 4), 1u);
+  ThreadPool one(1);
+  ThreadPool four(4);
+  EXPECT_GE(RecommendedGrain(0, &four), 1u);
+  EXPECT_LE(RecommendedGrain(1u << 30, nullptr), 1024u);
+  EXPECT_GE(RecommendedGrain(10000, &four), 1u);
+  // A null pool is one worker: the same grain as a 1-thread pool.
+  EXPECT_EQ(RecommendedGrain(4000, nullptr), RecommendedGrain(4000, &one));
+  EXPECT_EQ(RecommendedGrain(4000, nullptr), 4000u / 8);
+  EXPECT_EQ(RecommendedGrain(4000, &four), 4000u / 32);
 }
 
 // ---------------------------------------------------------------------------
