@@ -1,5 +1,6 @@
 #include "core/disc_algorithms.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -135,6 +136,119 @@ DiscResult BasicDisc(MTree* tree, double radius, bool pruned) {
   return scope.Finish(std::move(solution));
 }
 
+namespace internal {
+
+void OrderedNeighborhoods::Run(MTree* tree, ThreadPool* pool,
+                               const std::vector<ObjectId>& centers,
+                               const Query& query, const Apply& apply) {
+  // A step that greys hundreds of objects would otherwise hold megabytes of
+  // neighbor lists before applying the first; blocks keep them in cache.
+  constexpr size_t kBlock = 64;
+  hoods_.resize(kBlock);
+  for (size_t first = 0; first < centers.size(); first += kBlock) {
+    const size_t last = std::min(centers.size(), first + kBlock);
+    ParallelFor(pool, first, last, 1, [&](size_t begin, size_t end) {
+      for (size_t j = begin; j < end; ++j) {
+        Hood& hood = hoods_[j - first];
+        hood.found.clear();
+        hood.cost = AccessStats{};
+        MTree::ThreadStatsScope stats_scope(*tree, &hood.cost);
+        query(centers[j], &hood.found);
+      }
+    });
+    for (size_t j = first; j < last; ++j) {
+      tree->ChargeStats(hoods_[j - first].cost);
+      apply(j, hoods_[j - first].found);
+    }
+  }
+}
+
+void GreedySelect(MTree* tree, IndexedMaxHeap* heap,
+                  SelectionSpeculator* select, const GreedyUpdate& update,
+                  ThreadPool* pool, std::vector<ObjectId>* solution) {
+  // A candidate is a white object still waiting in the heap. Heap
+  // membership never changes while an update phase runs (Adjust moves
+  // priorities only), so the workers may read it too.
+  auto is_candidate = [&](ObjectId id) {
+    return tree->color(id) == Color::kWhite && heap->contains(id);
+  };
+  std::vector<Neighbor> found, update_found;
+  std::vector<ObjectId> newly_grey;
+  OrderedNeighborhoods grey_updates;
+  while (!heap->empty()) {
+    select->MaybePrefetch(*heap);
+    // The heap holds exactly the white candidates, so the top is the white
+    // object with the largest (possibly stale, for lazy variants) count.
+    const ObjectId pi = static_cast<ObjectId>(heap->PopTop());
+    assert(tree->color(pi) == Color::kWhite);
+    tree->SetColor(pi, Color::kBlack);
+    solution->push_back(pi);
+
+    found.clear();
+    select->Take(pi, &found);
+    newly_grey.clear();
+    for (const Neighbor& nb : found) {
+      if (is_candidate(nb.id)) {
+        tree->SetColor(nb.id, Color::kGrey);
+        newly_grey.push_back(nb.id);
+        heap->Remove(nb.id);
+      }
+      tree->ObserveBlackNeighbor(nb.id, nb.dist);
+    }
+
+    if (!update.white_style) {
+      // One query per newly-grey object: its white neighbors lost one white
+      // neighborhood member.
+      grey_updates.Run(
+          tree, pool, newly_grey,
+          [&](ObjectId pj, std::vector<Neighbor>* out) {
+            tree->RangeQueryAround(pj, update.radius, update.filter,
+                                   update.pruned, out);
+          },
+          [&](size_t, const std::vector<Neighbor>& hood) {
+            for (const Neighbor& nb : hood) {
+              if (is_candidate(nb.id)) heap->Adjust(nb.id, -1);
+            }
+          });
+      continue;
+    }
+    // White-style: only candidates within the update radius of pi can have
+    // lost white neighbors. One query retrieves them; the per-object loss is
+    // counted against the newly-grey list with plain distance computations
+    // (fanned out over the retrieved candidates, applied in result order).
+    update_found.clear();
+    tree->RangeQueryAround(pi, update.radius, update.filter, update.pruned,
+                           &update_found);
+    struct LossResult {
+      std::vector<std::pair<ObjectId, int64_t>> lost;
+      AccessStats cost;
+    };
+    ParallelOrderedReduce<LossResult>(
+        pool, 0, update_found.size(),
+        RecommendedGrain(update_found.size(), pool),
+        [&](size_t chunk_begin, size_t chunk_end) {
+          LossResult r;
+          MTree::ThreadStatsScope stats_scope(*tree, &r.cost);
+          for (size_t j = chunk_begin; j < chunk_end; ++j) {
+            const ObjectId id = update_found[j].id;
+            if (!is_candidate(id)) continue;
+            int64_t lost = 0;
+            for (ObjectId pj : newly_grey) {
+              if (tree->Distance(id, pj) <= update.loss_radius) ++lost;
+            }
+            if (lost > 0) r.lost.emplace_back(id, lost);
+          }
+          return r;
+        },
+        [&](LossResult& r) {
+          tree->ChargeStats(r.cost);
+          for (const auto& [id, lost] : r.lost) heap->Adjust(id, -lost);
+        });
+  }
+}
+
+}  // namespace internal
+
 DiscResult GreedyDisc(MTree* tree, double radius,
                       const GreedyDiscOptions& options) {
   internal::RunScope scope(tree);
@@ -158,23 +272,23 @@ DiscResult GreedyDisc(MTree* tree, double radius,
 
   // Update radius for neighborhood-size maintenance: the lazy variants
   // deliberately use a smaller radius, leaving distant counts stale (§6).
-  double update_radius = radius;
+  internal::GreedyUpdate update{radius, filter, options.pruned,
+                                /*white_style=*/false, radius};
   switch (options.variant) {
     case GreedyVariant::kGrey:
-      update_radius = radius;
       break;
     case GreedyVariant::kLazyGrey:
-      update_radius = radius / 2.0;
+      update.radius = radius / 2.0;
       break;
     case GreedyVariant::kWhite:
-      update_radius = 2.0 * radius;
+      update.radius = 2.0 * radius;
+      update.white_style = true;
       break;
     case GreedyVariant::kLazyWhite:
-      update_radius = 1.5 * radius;
+      update.radius = 1.5 * radius;
+      update.white_style = true;
       break;
   }
-  const bool grey_style = options.variant == GreedyVariant::kGrey ||
-                          options.variant == GreedyVariant::kLazyGrey;
 
   // Speculation: evaluate the heap's next few candidates' neighborhoods
   // concurrently against the current colors, commit only evaluations whose
@@ -184,135 +298,9 @@ DiscResult GreedyDisc(MTree* tree, double radius,
   SelectionSpeculator speculator(tree, radius, filter, options.pruned,
                                  SelectionSpeculator::QueryKind::kGreedyDisc,
                                  width, options.pool);
-  ThreadPool* pool =
-      (options.pool != nullptr && options.pool->threads() > 1) ? options.pool
-                                                               : nullptr;
-
   std::vector<ObjectId> solution;
-  std::vector<Neighbor> found, update_found;
-  std::vector<ObjectId> newly_grey;
-  while (!heap.empty()) {
-    speculator.MaybePrefetch(heap);
-    // The heap holds exactly the white objects, so the top is the white
-    // object with the largest (possibly stale, for lazy variants) count.
-    ObjectId pi = heap.PopTop();
-    assert(tree->color(pi) == Color::kWhite);
-    tree->SetColor(pi, Color::kBlack);
-    solution.push_back(pi);
-
-    found.clear();
-    speculator.Take(pi, &found);
-    newly_grey.clear();
-    for (const Neighbor& nb : found) {
-      if (tree->color(nb.id) == Color::kWhite) {
-        tree->SetColor(nb.id, Color::kGrey);
-        newly_grey.push_back(nb.id);
-        heap.Remove(nb.id);
-      }
-      tree->ObserveBlackNeighbor(nb.id, nb.dist);
-    }
-
-    if (grey_style) {
-      // One query per newly-grey object: its white neighbors lost one white
-      // neighborhood member. Colors are fixed for the rest of this step, so
-      // the queries are a read-only fan-out; the heap adjustments apply on
-      // the calling thread in newly-grey order, exactly as the serial loop.
-      if (pool == nullptr || newly_grey.size() <= 1) {
-        for (ObjectId pj : newly_grey) {
-          update_found.clear();
-          tree->RangeQueryAround(pj, update_radius, filter, options.pruned,
-                                 &update_found);
-          for (const Neighbor& nb : update_found) {
-            if (tree->color(nb.id) == Color::kWhite && heap.contains(nb.id)) {
-              heap.Adjust(nb.id, -1);
-            }
-          }
-        }
-      } else {
-        struct UpdateResult {
-          std::vector<Neighbor> found;
-          AccessStats cost;
-        };
-        ParallelOrderedReduce<std::vector<UpdateResult>>(
-            pool, 0, newly_grey.size(), /*grain=*/1,
-            [&](size_t chunk_begin, size_t chunk_end) {
-              std::vector<UpdateResult> results(chunk_end - chunk_begin);
-              for (size_t j = chunk_begin; j < chunk_end; ++j) {
-                UpdateResult& r = results[j - chunk_begin];
-                MTree::ThreadStatsScope stats_scope(*tree, &r.cost);
-                tree->RangeQueryAround(newly_grey[j], update_radius, filter,
-                                       options.pruned, &r.found);
-              }
-              return results;
-            },
-            [&](std::vector<UpdateResult>& results) {
-              for (UpdateResult& r : results) {
-                tree->ChargeStats(r.cost);
-                for (const Neighbor& nb : r.found) {
-                  if (tree->color(nb.id) == Color::kWhite &&
-                      heap.contains(nb.id)) {
-                    heap.Adjust(nb.id, -1);
-                  }
-                }
-              }
-            });
-      }
-    } else {
-      // White-style: only white objects within 2r of pi can have lost white
-      // neighbors. One query retrieves them; the per-object loss is counted
-      // against the newly-grey list with plain distance computations (fanned
-      // out over the retrieved candidates, losses applied in result order).
-      update_found.clear();
-      tree->RangeQueryAround(pi, update_radius, filter, options.pruned,
-                             &update_found);
-      if (pool == nullptr || update_found.size() <= 1 || newly_grey.empty()) {
-        for (const Neighbor& nb : update_found) {
-          if (tree->color(nb.id) != Color::kWhite || !heap.contains(nb.id)) {
-            continue;
-          }
-          int64_t lost = 0;
-          for (ObjectId pj : newly_grey) {
-            if (tree->Distance(nb.id, pj) <= radius) ++lost;
-          }
-          if (lost > 0) heap.Adjust(nb.id, -lost);
-        }
-      } else {
-        struct LossResult {
-          std::vector<std::pair<ObjectId, int64_t>> lost;
-          AccessStats cost;
-        };
-        const size_t grain = RecommendedGrain(update_found.size(), pool);
-        ParallelOrderedReduce<LossResult>(
-            pool, 0, update_found.size(), grain,
-            [&](size_t chunk_begin, size_t chunk_end) {
-              LossResult r;
-              MTree::ThreadStatsScope stats_scope(*tree, &r.cost);
-              for (size_t j = chunk_begin; j < chunk_end; ++j) {
-                const Neighbor& nb = update_found[j];
-                // Membership never changes during the phase (Adjust moves
-                // priorities only), so reading it from the workers matches
-                // the serial loop's checks.
-                if (tree->color(nb.id) != Color::kWhite ||
-                    !heap.contains(nb.id)) {
-                  continue;
-                }
-                int64_t lost = 0;
-                for (ObjectId pj : newly_grey) {
-                  if (tree->Distance(nb.id, pj) <= radius) ++lost;
-                }
-                if (lost > 0) r.lost.emplace_back(nb.id, lost);
-              }
-              return r;
-            },
-            [&](LossResult& r) {
-              tree->ChargeStats(r.cost);
-              for (const auto& [id, lost] : r.lost) {
-                heap.Adjust(id, -lost);
-              }
-            });
-      }
-    }
-  }
+  internal::GreedySelect(tree, &heap, &speculator, update, options.pool,
+                         &solution);
   DiscResult result = scope.Finish(std::move(solution));
   result.speculation = speculator.Finish();
   return result;

@@ -17,7 +17,6 @@
 #include "core/internal.h"
 #include "core/speculation.h"
 #include "util/indexed_heap.h"
-#include "util/parallel.h"
 
 namespace disc {
 
@@ -61,12 +60,11 @@ DiscResult CoverageGreedy(MTree* tree, double radius, bool fast,
       /*pruned=*/fast, fast ? SelectionSpeculator::QueryKind::kFastC
                             : SelectionSpeculator::QueryKind::kGreedyC,
       width, pool);
-  ThreadPool* fanout_pool =
-      (pool != nullptr && pool->threads() > 1) ? pool : nullptr;
 
   std::vector<ObjectId> solution;
-  std::vector<Neighbor> found, update_found;
+  std::vector<Neighbor> found;
   std::vector<ObjectId> newly_grey;
+  internal::OrderedNeighborhoods updates;
   while (tree->white_count() > 0 && !heap.empty()) {
     speculator.MaybePrefetch(heap);
     ObjectId pi = heap.PopTop();
@@ -121,53 +119,22 @@ DiscResult CoverageGreedy(MTree* tree, double radius, bool fast,
     // access savings come from. Colors and heap membership are fixed for the
     // rest of this step, so the queries fan out read-only; the heap
     // adjustments apply on the calling thread in newly-grey order.
-    if (fanout_pool == nullptr || newly_grey.size() <= 1) {
-      for (ObjectId pj : newly_grey) {
-        if (heap.contains(pj)) heap.Adjust(pj, -1);
-        update_found.clear();
-        if (fast) {
-          tree->LeafMatesWithin(pj, radius, &update_found);
-        } else {
-          tree->RangeQueryAround(pj, radius, QueryFilter::kAll,
-                                 /*pruned=*/false, &update_found);
-        }
-        for (const Neighbor& nb : update_found) {
-          if (heap.contains(nb.id)) heap.Adjust(nb.id, -1);
-        }
-      }
-    } else {
-      struct UpdateResult {
-        std::vector<Neighbor> found;
-        AccessStats cost;
-      };
-      size_t update_index = 0;
-      ParallelOrderedReduce<std::vector<UpdateResult>>(
-          fanout_pool, 0, newly_grey.size(), /*grain=*/1,
-          [&](size_t chunk_begin, size_t chunk_end) {
-            std::vector<UpdateResult> results(chunk_end - chunk_begin);
-            for (size_t j = chunk_begin; j < chunk_end; ++j) {
-              UpdateResult& r = results[j - chunk_begin];
-              MTree::ThreadStatsScope stats_scope(*tree, &r.cost);
-              if (fast) {
-                tree->LeafMatesWithin(newly_grey[j], radius, &r.found);
-              } else {
-                tree->RangeQueryAround(newly_grey[j], radius, QueryFilter::kAll,
-                                       /*pruned=*/false, &r.found);
-              }
-            }
-            return results;
-          },
-          [&](std::vector<UpdateResult>& results) {
-            for (UpdateResult& r : results) {
-              tree->ChargeStats(r.cost);
-              ObjectId pj = newly_grey[update_index++];
-              if (heap.contains(pj)) heap.Adjust(pj, -1);
-              for (const Neighbor& nb : r.found) {
-                if (heap.contains(nb.id)) heap.Adjust(nb.id, -1);
-              }
-            }
-          });
-    }
+    updates.Run(
+        tree, pool, newly_grey,
+        [&](ObjectId pj, std::vector<Neighbor>* out) {
+          if (fast) {
+            tree->LeafMatesWithin(pj, radius, out);
+          } else {
+            tree->RangeQueryAround(pj, radius, QueryFilter::kAll,
+                                   /*pruned=*/false, out);
+          }
+        },
+        [&](size_t j, const std::vector<Neighbor>& hood) {
+          if (heap.contains(newly_grey[j])) heap.Adjust(newly_grey[j], -1);
+          for (const Neighbor& nb : hood) {
+            if (heap.contains(nb.id)) heap.Adjust(nb.id, -1);
+          }
+        });
   }
   DiscResult result = scope.Finish(std::move(solution));
   result.speculation = speculator.Finish();

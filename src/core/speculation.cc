@@ -25,40 +25,17 @@ SelectionSpeculator::SelectionSpeculator(MTree* tree, double radius,
       width_(width),
       pool_(pool) {}
 
-void SelectionSpeculator::SpeculativeQuery(ObjectId center,
-                                           Entry* entry) const {
-  entry->center = center;
-  MTree::ThreadStatsScope scope(*tree_, &entry->cost);
-  switch (kind_) {
-    case QueryKind::kGreedyDisc:
-      tree_->RangeQueryAroundSpeculative(center, radius_, filter_, pruned_,
-                                         /*assume_black=*/true, &entry->found,
-                                         &entry->trace);
-      break;
-    case QueryKind::kGreedyC:
-      tree_->RangeQueryAroundSpeculative(center, radius_, filter_, pruned_,
-                                         /*assume_black=*/false, &entry->found,
-                                         &entry->trace);
-      break;
-    case QueryKind::kFastC:
-      tree_->RangeQueryBottomUpSpeculative(center, radius_, filter_, pruned_,
-                                           /*stop_at_grey=*/true,
-                                           &entry->found, &entry->trace);
-      break;
-  }
-}
-
-void SelectionSpeculator::SerialQuery(ObjectId center,
-                                      std::vector<Neighbor>* out) const {
-  switch (kind_) {
-    case QueryKind::kGreedyDisc:
-    case QueryKind::kGreedyC:
-      tree_->RangeQueryAround(center, radius_, filter_, pruned_, out);
-      break;
-    case QueryKind::kFastC:
-      tree_->RangeQueryBottomUp(center, radius_, filter_, pruned_,
-                                /*stop_at_grey=*/true, out);
-      break;
+void SelectionSpeculator::Query(ObjectId center, std::vector<Neighbor>* out,
+                                MTree::QueryTrace* trace) const {
+  if (kind_ == QueryKind::kFastC) {
+    tree_->RangeQueryBottomUp(center, radius_, filter_, pruned_,
+                              /*stop_at_grey=*/true, out, trace);
+  } else if (trace == nullptr) {
+    tree_->RangeQueryAround(center, radius_, filter_, pruned_, out);
+  } else {
+    tree_->RangeQueryAroundSpeculative(
+        center, radius_, filter_, pruned_,
+        /*assume_black=*/kind_ == QueryKind::kGreedyDisc, out, trace);
   }
 }
 
@@ -72,15 +49,14 @@ void SelectionSpeculator::MaybePrefetch(const IndexedMaxHeap& heap) {
   // the pool only decides how many run at once. Each evaluation accounts to
   // its entry's private sink, so nothing touches the tree's stats until a
   // commit publishes exactly one entry's cost.
-  if (pool_ == nullptr || pool_->threads() <= 1) {
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      SpeculativeQuery(static_cast<ObjectId>(candidates[i]), &cache_[i]);
+  ParallelFor(pool_, 0, candidates.size(), 1, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      Entry& entry = cache_[i];
+      entry.center = static_cast<ObjectId>(candidates[i]);
+      MTree::ThreadStatsScope scope(*tree_, &entry.cost);
+      Query(entry.center, &entry.found, &entry.trace);
     }
-  } else {
-    pool_->Run(candidates.size(), [&](size_t i) {
-      SpeculativeQuery(static_cast<ObjectId>(candidates[i]), &cache_[i]);
-    });
-  }
+  });
 }
 
 void SelectionSpeculator::Take(ObjectId center, std::vector<Neighbor>* out) {
@@ -102,7 +78,7 @@ void SelectionSpeculator::Take(ObjectId center, std::vector<Neighbor>* out) {
     break;
   }
   Flush();
-  SerialQuery(center, out);
+  Query(center, out, /*trace=*/nullptr);
 }
 
 void SelectionSpeculator::Flush() {

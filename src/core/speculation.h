@@ -121,8 +121,12 @@ class SelectionSpeculator {
     AccessStats cost;  // accounted via a private sink; charged on commit
   };
 
-  void SpeculativeQuery(ObjectId center, Entry* entry) const;
-  void SerialQuery(ObjectId center, std::vector<Neighbor>* out) const;
+  // The selection query for `center`. With a trace it runs the
+  // speculative flavor (assuming the candidate black for kGreedyDisc) and
+  // records every color-dependent decision; with a null trace it is the
+  // plain query the loop would run at that moment.
+  void Query(ObjectId center, std::vector<Neighbor>* out,
+             MTree::QueryTrace* trace) const;
   void Flush();
 
   MTree* tree_;

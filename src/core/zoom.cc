@@ -1,6 +1,5 @@
 #include "core/zoom.h"
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -8,6 +7,7 @@
 #include <vector>
 
 #include "core/internal.h"
+#include "core/speculation.h"
 #include "util/indexed_heap.h"
 
 namespace disc {
@@ -24,19 +24,48 @@ struct Region {
   }
 };
 
+// The greedy selection both zoom directions end with (Algorithm 2; lines
+// 12-19 of Algorithm 3): seed the heap with every candidate white's white
+// neighborhood size at r_new, then run the shared Greedy-DisC loop with
+// grey-style updates. All queries can use the pruning rule because white
+// counters are live again. Zooming runs serially: no pool, width 1.
+// `observe_all` widens the selection query from pruned/white-only to
+// unpruned/all-colors: same whites found (so the same selection sequence
+// and the same heap maintenance), but already-grey neighbors of the new
+// black also observe their exact distance instead of keeping an upper
+// bound from some earlier black (see ZoomIn).
+void GreedyCover(MTree* tree, double r_new, const std::vector<ObjectId>& whites,
+                 bool observe_all, std::vector<ObjectId>* solution) {
+  IndexedMaxHeap heap(tree->size());
+  std::vector<Neighbor> found;
+  for (ObjectId w : whites) {
+    found.clear();
+    tree->RangeQueryAround(w, r_new, QueryFilter::kWhiteOnly, /*pruned=*/true,
+                           &found);
+    heap.Push(w, static_cast<int64_t>(found.size()));
+  }
+  SelectionSpeculator select(
+      tree, r_new, observe_all ? QueryFilter::kAll : QueryFilter::kWhiteOnly,
+      /*pruned=*/!observe_all, SelectionSpeculator::QueryKind::kGreedyDisc,
+      /*width=*/1, /*pool=*/nullptr);
+  internal::GreedyUpdate grey_style;  // white-only, pruned
+  grey_style.radius = r_new;
+  internal::GreedySelect(tree, &heap, &select, grey_style, /*pool=*/nullptr,
+                         solution);
+}
+
 // Shared zoom-in machinery. Candidates are the region's grey objects whose
 // closest black representative is farther than the new (smaller) radius.
 // Returns only the *newly added* objects; callers merge with the kept ones.
 std::vector<ObjectId> ZoomInCore(MTree* tree, double r_new, bool greedy,
                                  bool observe_all, const Region& region) {
   std::vector<ObjectId> added;
-  std::vector<Neighbor> found, update_found;
-
   if (!greedy) {
     // Zoom-In: one pass of the leaf chain. A grey object that lost its
     // representative turns black on the spot; its range query records it as
     // the new closest black of everything it now covers, so later objects in
     // the pass see up-to-date distances.
+    std::vector<Neighbor> found;
     tree->ScanLeaves(/*skip_grey_leaves=*/false, [&](ObjectId id) {
       if (tree->color(id) != Color::kGrey || !region.contains(id)) return;
       if (tree->closest_black_dist(id) <= r_new) return;
@@ -53,9 +82,7 @@ std::vector<ObjectId> ZoomInCore(MTree* tree, double r_new, bool greedy,
   }
 
   // Greedy-Zoom-In (Algorithm 2): whiten the uncovered objects, then run the
-  // greedy selection over them, maintaining white-neighborhood counts with
-  // grey-style updates. All queries can use the pruning rule because white
-  // counters are live again.
+  // greedy selection over them.
   std::vector<ObjectId> whitened;
   tree->ScanLeaves(/*skip_grey_leaves=*/false, [&](ObjectId id) {
     if (tree->color(id) != Color::kGrey || !region.contains(id)) return;
@@ -63,53 +90,7 @@ std::vector<ObjectId> ZoomInCore(MTree* tree, double r_new, bool greedy,
     tree->SetColor(id, Color::kWhite);
     whitened.push_back(id);
   });
-
-  IndexedMaxHeap heap(tree->size());
-  for (ObjectId w : whitened) {
-    found.clear();
-    tree->RangeQueryAround(w, r_new, QueryFilter::kWhiteOnly, /*pruned=*/true,
-                           &found);
-    heap.Push(w, static_cast<int64_t>(found.size()));
-  }
-
-  std::vector<ObjectId> newly_grey;
-  while (!heap.empty()) {
-    ObjectId pi = heap.PopTop();
-    assert(tree->color(pi) == Color::kWhite);
-    tree->SetColor(pi, Color::kBlack);
-    added.push_back(pi);
-
-    // observe_all widens the selection query from pruned/white-only to
-    // unpruned/all-colors: same whites found (so the same selection
-    // sequence and the same heap maintenance), but already-grey neighbors
-    // of the new black also observe their exact distance instead of
-    // keeping an upper bound from some earlier black (see ZoomIn).
-    found.clear();
-    if (observe_all) {
-      tree->RangeQueryAround(pi, r_new, QueryFilter::kAll, /*pruned=*/false,
-                             &found);
-    } else {
-      tree->RangeQueryAround(pi, r_new, QueryFilter::kWhiteOnly,
-                             /*pruned=*/true, &found);
-    }
-    newly_grey.clear();
-    for (const Neighbor& nb : found) {
-      if (tree->color(nb.id) == Color::kWhite) {
-        tree->SetColor(nb.id, Color::kGrey);
-        newly_grey.push_back(nb.id);
-        if (heap.contains(nb.id)) heap.Remove(nb.id);
-      }
-      tree->ObserveBlackNeighbor(nb.id, nb.dist);
-    }
-    for (ObjectId pj : newly_grey) {
-      update_found.clear();
-      tree->RangeQueryAround(pj, r_new, QueryFilter::kWhiteOnly,
-                             /*pruned=*/true, &update_found);
-      for (const Neighbor& nb : update_found) {
-        if (heap.contains(nb.id)) heap.Adjust(nb.id, -1);
-      }
-    }
-  }
+  GreedyCover(tree, r_new, whitened, observe_all, &added);
   return added;
 }
 
@@ -135,7 +116,7 @@ std::vector<ObjectId> ZoomOutCore(MTree* tree, double r_new,
   }
 
   std::vector<ObjectId> solution;
-  std::vector<Neighbor> found, update_found;
+  std::vector<Neighbor> found;
 
   // ---- Pass 1: confirm or drop the old selection -----------------------
   // `alive[i]` tracks which reds are still undecided.
@@ -259,45 +240,16 @@ std::vector<ObjectId> ZoomOutCore(MTree* tree, double r_new,
   }
 
   // Greedy second pass (Algorithm 3 lines 12-19): standard greedy selection
-  // over the remaining whites.
+  // over the remaining whites. Outside the region nothing is white, so the
+  // region's whites are exactly the heap and the shared loop's "white and
+  // still in the heap" rule keeps the pass inside the region.
   std::vector<ObjectId> whites;
   for (ObjectId id = 0; id < n; ++id) {
     if (tree->color(id) == Color::kWhite && region.contains(id)) {
       whites.push_back(id);
     }
   }
-  IndexedMaxHeap heap(n);
-  for (ObjectId w : whites) {
-    found.clear();
-    tree->RangeQueryAround(w, r_new, QueryFilter::kWhiteOnly, /*pruned=*/true,
-                           &found);
-    heap.Push(w, static_cast<int64_t>(found.size()));
-  }
-  std::vector<ObjectId> newly_grey;
-  while (!heap.empty()) {
-    ObjectId pi = heap.PopTop();
-    tree->SetColor(pi, Color::kBlack);
-    solution.push_back(pi);
-    found.clear();
-    tree->RangeQueryAround(pi, r_new, QueryFilter::kWhiteOnly, /*pruned=*/true,
-                           &found);
-    newly_grey.clear();
-    for (const Neighbor& nb : found) {
-      if (!region.contains(nb.id)) continue;
-      tree->SetColor(nb.id, Color::kGrey);
-      tree->ObserveBlackNeighbor(nb.id, nb.dist);
-      newly_grey.push_back(nb.id);
-      if (heap.contains(nb.id)) heap.Remove(nb.id);
-    }
-    for (ObjectId pj : newly_grey) {
-      update_found.clear();
-      tree->RangeQueryAround(pj, r_new, QueryFilter::kWhiteOnly,
-                             /*pruned=*/true, &update_found);
-      for (const Neighbor& nb : update_found) {
-        if (heap.contains(nb.id)) heap.Adjust(nb.id, -1);
-      }
-    }
-  }
+  GreedyCover(tree, r_new, whites, /*observe_all=*/false, &solution);
   return solution;
 }
 

@@ -23,6 +23,16 @@
 // further zoom-in. Chaining a zoom-in after a greedy pass therefore
 // requires RecomputeClosestBlackDistances again; the engine layer
 // (engine/engine.h) tracks this automatically.
+//
+// The greedy passes run Greedy-DisC's own selection loop
+// (internal::GreedySelect in core/internal.h). Greedy-Zoom-In (Algorithm 2)
+// whitens the uncovered objects and runs the loop over them; greedy
+// Zoom-Out's second pass (Algorithm 3, lines 12-19) runs it over the whites
+// pass 1 left. Both seed the heap the same way
+// (each white's white-neighborhood size at the new radius) and maintain it
+// with grey-style updates at the new radius, serially (no pool, width 1).
+// A found neighbor turns grey iff it is white and still in the heap, so a
+// local zoom never greys outside its region: nothing outside is white.
 
 #ifndef DISC_CORE_ZOOM_H_
 #define DISC_CORE_ZOOM_H_

@@ -184,13 +184,22 @@ Result<DiversifyResponse> DiscEngine::AdaptFrom(const SessionCapsule& seed,
 void DiscEngine::SetSession(const CacheKey& key, size_t solution_size,
                             bool distances_exact) {
   session_.has_solution = true;
-  session_.zoomable = IsDiscFamily(key.algorithm);
-  session_.zoom_blocker =
-      session_.zoomable
-          ? ""
-          : std::string(AlgorithmToString(key.algorithm)) +
-                " produces a covering-only (r-C diverse) solution; zooming "
-                "requires an r-DisC solution (basic/greedy family)";
+  if (backend_ != nullptr) {
+    // Graph-mode runs leave no tree color state for the adaptive
+    // operations to read.
+    session_.zoom_blocker =
+        std::string("the '") + backend_->name() +
+        "' neighbor backend runs algorithms on the neighborhood graph and "
+        "leaves no tree color state; zooming requires the exact engine";
+  } else if (!IsDiscFamily(key.algorithm)) {
+    session_.zoom_blocker =
+        std::string(AlgorithmToString(key.algorithm)) +
+        " produces a covering-only (r-C diverse) solution; zooming "
+        "requires an r-DisC solution (basic/greedy family)";
+  } else {
+    session_.zoom_blocker.clear();
+  }
+  session_.zoomable = session_.zoom_blocker.empty();
   session_.algorithm = key.algorithm;
   session_.radius = key.radius;
   session_.solution_size = solution_size;
@@ -239,10 +248,13 @@ QualityMetrics DiscEngine::ComputeQuality(
   return quality;
 }
 
+AccessStats DiscEngine::IndexStats() const {
+  return tree_ != nullptr ? tree_->stats() : backend_->stats();
+}
+
 Result<DiversifyResponse> DiscEngine::Diversify(
     const DiversifyRequest& request) {
   DISC_RETURN_NOT_OK(ValidateRadius(request.radius));
-  if (backend_ != nullptr) return DiversifyViaBackend(request);
   const bool disc_family = IsDiscFamily(request.algorithm);
   const CacheKey key{request.algorithm, request.radius,
                      EffectivePruned(request)};
@@ -250,7 +262,11 @@ Result<DiversifyResponse> DiscEngine::Diversify(
   if (CacheEntry* entry = FindCached(key)) {
     Stopwatch watch;
     ++cache_hits_;
-    DISC_RETURN_NOT_OK(tree_->RestoreColorState(entry->state));
+    // Graph-mode entries carry no ColorState — there are no colors to
+    // restore; the response alone is the whole session outcome.
+    if (tree_ != nullptr) {
+      DISC_RETURN_NOT_OK(tree_->RestoreColorState(entry->state));
+    }
     if (request.compute_quality && !entry->response.quality.has_value()) {
       entry->response.quality =
           ComputeQuality(entry->response.solution, request.radius,
@@ -266,9 +282,41 @@ Result<DiversifyResponse> DiscEngine::Diversify(
   }
 
   Stopwatch watch;
-  const AccessStats before = tree_->stats();
+  const AccessStats before = IndexStats();
+  Result<std::vector<ObjectId>> solved =
+      tree_ != nullptr ? SolveOnTree(request, key.pruned)
+                       : SolveOnGraph(request);
+  DISC_RETURN_NOT_OK(solved.status());
+  ++computations_;
+
+  DiversifyResponse response;
+  response.solution = std::move(solved).value();
+  response.stats = IndexStats() - before;
+  response.wall_ms = watch.ElapsedMillis();
+  response.radius = request.radius;
+  if (request.compute_quality) {
+    response.quality = ComputeQuality(response.solution, request.radius,
+                                      /*covering_only=*/!disc_family);
+  }
+
+  // Unpruned DisC runs visit every neighbor of every selected object, so
+  // the closest-black distances they record are already exact (§5.2).
+  // Graph-mode runs record none.
+  const bool distances_exact = tree_ != nullptr && disc_family && !key.pruned;
+  SetSession(key, response.solution.size(), distances_exact);
+  CacheEntry entry;
+  entry.key = key;
+  entry.response = response;
+  if (tree_ != nullptr) entry.state = tree_->SaveColorState();
+  entry.distances_exact = distances_exact;
+  InsertCache(std::move(entry));
+  return response;
+}
+
+Result<std::vector<ObjectId>> DiscEngine::SolveOnTree(
+    const DiversifyRequest& request, bool pruned) {
   AlgorithmRunOptions run_options;
-  run_options.pruned = key.pruned;
+  run_options.pruned = pruned;
   // Counts come from the cache (parallel inside CountsForRadius); the pool
   // additionally drives speculative candidate evaluation and the per-step
   // maintenance fan-outs inside the greedy loops. Solutions and stats are
@@ -281,29 +329,7 @@ Result<DiversifyResponse> DiscEngine::Diversify(
   DiscResult run =
       RunAlgorithm(tree_.get(), request.algorithm, request.radius,
                    run_options);
-  ++computations_;
-
-  DiversifyResponse response;
-  response.solution = std::move(run.solution);
-  response.stats = tree_->stats() - before;
-  response.wall_ms = watch.ElapsedMillis();
-  response.radius = request.radius;
-  if (request.compute_quality) {
-    response.quality = ComputeQuality(response.solution, request.radius,
-                                      /*covering_only=*/!disc_family);
-  }
-
-  // Unpruned DisC runs visit every neighbor of every selected object, so
-  // the closest-black distances they record are already exact (§5.2).
-  const bool distances_exact = disc_family && !key.pruned;
-  SetSession(key, response.solution.size(), distances_exact);
-  CacheEntry entry;
-  entry.key = key;
-  entry.response = response;
-  entry.state = tree_->SaveColorState();
-  entry.distances_exact = distances_exact;
-  InsertCache(std::move(entry));
-  return response;
+  return std::move(run.solution);
 }
 
 Result<const NeighborhoodGraph*> DiscEngine::GraphForRadius(double radius) {
@@ -318,61 +344,22 @@ Result<const NeighborhoodGraph*> DiscEngine::GraphForRadius(double radius) {
   return static_cast<const NeighborhoodGraph*>(graph_cache_.get());
 }
 
-void DiscEngine::BlockZoomForGraphMode() {
-  session_.zoomable = false;
-  session_.zoom_blocker =
-      std::string("the '") + backend_->name() +
-      "' neighbor backend runs algorithms on the neighborhood graph and "
-      "leaves no tree color state; zooming requires the exact engine";
-}
-
-Result<DiversifyResponse> DiscEngine::DiversifyViaBackend(
+Result<std::vector<ObjectId>> DiscEngine::SolveOnGraph(
     const DiversifyRequest& request) {
-  const bool disc_family = IsDiscFamily(request.algorithm);
-  const CacheKey key{request.algorithm, request.radius,
-                     EffectivePruned(request)};
-
-  if (CacheEntry* entry = FindCached(key)) {
-    Stopwatch watch;
-    ++cache_hits_;
-    // Graph-mode entries carry no ColorState — there are no colors to
-    // restore; the response alone is the whole session outcome.
-    if (request.compute_quality && !entry->response.quality.has_value()) {
-      entry->response.quality =
-          ComputeQuality(entry->response.solution, request.radius,
-                         /*covering_only=*/!disc_family);
-    }
-    SetSession(key, entry->response.solution.size(),
-               /*distances_exact=*/false);
-    BlockZoomForGraphMode();
-    DiversifyResponse response = entry->response;
-    response.from_cache = true;
-    response.stats = AccessStats{};
-    response.wall_ms = watch.ElapsedMillis();
-    if (!request.compute_quality) response.quality.reset();
-    return response;
-  }
-
-  Stopwatch watch;
-  const AccessStats before = backend_->stats();
   DISC_ASSIGN_OR_RETURN(const NeighborhoodGraph* graph,
                         GraphForRadius(request.radius));
-  std::vector<ObjectId> solution;
   switch (request.algorithm) {
     case Algorithm::kBasic: {
       // Candidates in id order (graph mode has no leaf chain to mirror);
       // any fixed order yields a valid maximal independent set.
       std::vector<ObjectId> order(dataset_.size());
       std::iota(order.begin(), order.end(), ObjectId{0});
-      solution = ReferenceBasicDisc(*graph, order);
-      break;
+      return ReferenceBasicDisc(*graph, order);
     }
     case Algorithm::kGreedy:
-      solution = ReferenceGreedyDisc(*graph);
-      break;
+      return ReferenceGreedyDisc(*graph);
     case Algorithm::kGreedyC:
-      solution = ReferenceGreedyC(*graph);
-      break;
+      return ReferenceGreedyC(*graph);
     default:
       return Status::Unimplemented(
           std::string("algorithm '") + AlgorithmToString(request.algorithm) +
@@ -380,26 +367,6 @@ Result<DiversifyResponse> DiscEngine::DiversifyViaBackend(
           "' neighbor backend serves the graph-mode algorithms only "
           "(basic, greedy, greedy-c)");
   }
-  ++computations_;
-
-  DiversifyResponse response;
-  response.solution = std::move(solution);
-  response.stats = backend_->stats() - before;
-  response.wall_ms = watch.ElapsedMillis();
-  response.radius = request.radius;
-  if (request.compute_quality) {
-    response.quality = ComputeQuality(response.solution, request.radius,
-                                      /*covering_only=*/!disc_family);
-  }
-
-  SetSession(key, response.solution.size(), /*distances_exact=*/false);
-  BlockZoomForGraphMode();
-  CacheEntry entry;
-  entry.key = key;
-  entry.response = response;
-  entry.distances_exact = false;
-  InsertCache(std::move(entry));
-  return response;
 }
 
 Result<DiversifyResponse> DiscEngine::Zoom(const ZoomRequest& request) {
@@ -596,8 +563,7 @@ EngineSnapshot DiscEngine::Snapshot() const {
   snapshot.adopted_sessions = adopted_sessions_;
   snapshot.threads = threads_;
   snapshot.sessions_served = sessions_served_;
-  snapshot.lifetime_stats =
-      tree_ != nullptr ? tree_->stats() : backend_->stats();
+  snapshot.lifetime_stats = IndexStats();
   return snapshot;
 }
 

@@ -370,32 +370,36 @@ class DiscEngine {
   static bool EffectivePruned(const DiversifyRequest& request);
 
   /// Records that the tree colors now encode the solution a Diversify with
-  /// `key` produced (directly or from cache).
+  /// `key` produced (directly or from cache). Graph-mode sessions and
+  /// covering-only solutions are recorded non-zoomable, with the reason.
   void SetSession(const CacheKey& key, size_t solution_size,
                   bool distances_exact);
 
   /// The engine's fan-out pool, created lazily on the first parallel pass
   /// (so idle pooled engines hold no parked worker threads). Null when
-  /// threads_ == 1: the neighborhood passes then run the same chunks in
-  /// order on the calling thread, and the greedy selection loops take their
-  /// serial branch (util/parallel.h).
+  /// threads_ == 1: every fan-out (the neighborhood passes and the greedy
+  /// selection loops' per-step fan-outs alike) then runs the same chunks in
+  /// order on the calling thread; there is no serial copy (util/parallel.h).
   ThreadPool* pool();
 
-  /// The non-exact-backend Diversify path: algorithms run on the
-  /// neighborhood graph the backend builds (core/reference.h) instead of on
-  /// tree colors. Serves the same solution cache (entries hold no
-  /// ColorState) and leaves the session non-zoomable.
-  Result<DiversifyResponse> DiversifyViaBackend(
-      const DiversifyRequest& request);
+  /// The solver half of a cache-missing Diversify, by mode; the cache hit
+  /// and the response, session and cache bookkeeping are shared. Tree
+  /// mode runs the algorithm on the M-tree colors (core/disc_algorithms.h)
+  /// with the cached neighborhood counts. Graph mode runs it on the
+  /// neighborhood graph the backend builds (core/reference.h); its cache
+  /// entries hold no ColorState and its sessions are not zoomable.
+  Result<std::vector<ObjectId>> SolveOnTree(const DiversifyRequest& request,
+                                            bool pruned);
+  Result<std::vector<ObjectId>> SolveOnGraph(const DiversifyRequest& request);
+
+  /// The session index's lifetime access counters: the tree's, or the
+  /// backend's in graph mode.
+  AccessStats IndexStats() const;
 
   /// The backend-built G_{P,r} for `radius`, cached one radius at a time
   /// (the graph is the dominant memory cost; the solution cache covers
   /// radius revisits).
   Result<const NeighborhoodGraph*> GraphForRadius(double radius);
-
-  /// Marks the just-set session non-zoomable: graph-mode runs leave no tree
-  /// color state for the adaptive operations to read.
-  void BlockZoomForGraphMode();
 
   CacheEntry* FindCached(const CacheKey& key);
   const CacheEntry* FindCached(const CacheKey& key) const;
@@ -418,7 +422,7 @@ class DiscEngine {
   std::unique_ptr<MTree> tree_;
   NeighborBackendOptions backend_options_;
   std::unique_ptr<NeighborBackend> backend_;
-  /// One-radius graph cache for DiversifyViaBackend.
+  /// One-radius graph cache for SolveOnGraph.
   std::unique_ptr<NeighborhoodGraph> graph_cache_;
   double graph_cache_radius_ = -1.0;
   /// Resolved worker count (EngineConfig::threads, 0 -> hardware).

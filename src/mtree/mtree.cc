@@ -427,11 +427,14 @@ void MTree::LeafMatesWithin(ObjectId center, double radius,
 
 void MTree::RangeQueryBottomUp(ObjectId center, double radius,
                                QueryFilter filter, bool pruned,
-                               bool stop_at_grey,
-                               std::vector<Neighbor>* out) const {
+                               bool stop_at_grey, std::vector<Neighbor>* out,
+                               QueryTrace* trace) const {
   assert(built_);
   ++LiveStats().range_queries;
   const Point& q = dataset_.point(center);
+  SpecState spec;
+  spec.trace = trace;
+  SpecState* const spec_ptr = trace == nullptr ? nullptr : &spec;
 
   // Search the object's own leaf first, then climb: at every ancestor,
   // search the sibling subtrees that intersect the query ball. Climbing to
@@ -442,20 +445,32 @@ void MTree::RangeQueryBottomUp(ObjectId center, double radius,
   double d_node = node->pivot == kInvalidObject
                       ? std::numeric_limits<double>::quiet_NaN()
                       : DistanceToPoint(q, node->pivot);
-  RangeSearchNode(node, q, radius, d_node, filter, pruned, center, out);
+  RangeSearchNode(node, q, radius, d_node, filter, pruned, center, out,
+                  spec_ptr);
 
   while (node->parent != nullptr) {
     Node* parent = node->parent;
-    // parent->white_count == 0 means the whole climbed-into subtree is grey.
-    if (stop_at_grey && parent->white_count == 0) break;
+    if (stop_at_grey) {
+      // parent->white_count == 0 means the whole climbed-into subtree is
+      // grey. A break needs no trace entry: the counter can only fall
+      // further, so a later query would break too. A climb-past is a
+      // commitment the validation must re-check.
+      if (parent->white_count == 0) break;
+      if (trace != nullptr) trace->nodes.push_back(parent);
+    }
     ++LiveStats().node_accesses;  // reading the parent's entries
     for (const RoutingEntry& entry : parent->children) {
       if (entry.child.get() == node) continue;  // already covered below
-      if (pruned && entry.child->white_count == 0) continue;
+      if (pruned) {
+        if (entry.child->white_count == 0) continue;
+        // No geometric shortcut on this path — the pivot distance is
+        // computed right away, so the gate goes straight into the trace.
+        if (trace != nullptr) trace->nodes.push_back(entry.child.get());
+      }
       double d = DistanceToPoint(q, entry.pivot);
       if (d <= radius + entry.radius) {
         RangeSearchNode(entry.child.get(), q, radius, d, filter, pruned,
-                        center, out);
+                        center, out, spec_ptr);
       }
     }
     node = parent;
@@ -483,51 +498,6 @@ void MTree::RangeQueryAroundSpeculative(ObjectId center, double radius,
   RangeSearchNode(root_.get(), dataset_.point(center), radius,
                   std::numeric_limits<double>::quiet_NaN(), filter, pruned,
                   center, out, &spec);
-}
-
-void MTree::RangeQueryBottomUpSpeculative(ObjectId center, double radius,
-                                          QueryFilter filter, bool pruned,
-                                          bool stop_at_grey,
-                                          std::vector<Neighbor>* out,
-                                          QueryTrace* trace) const {
-  assert(built_);
-  ++LiveStats().range_queries;
-  const Point& q = dataset_.point(center);
-  SpecState spec;
-  spec.trace = trace;
-
-  Node* node = leaf_of_[center];
-  double d_node = node->pivot == kInvalidObject
-                      ? std::numeric_limits<double>::quiet_NaN()
-                      : DistanceToPoint(q, node->pivot);
-  RangeSearchNode(node, q, radius, d_node, filter, pruned, center, out, &spec);
-
-  while (node->parent != nullptr) {
-    Node* parent = node->parent;
-    if (stop_at_grey) {
-      // A break here needs no trace entry: the counter can only fall
-      // further, so the plain query would break too. A climb-past is a
-      // commitment the validation must re-check.
-      if (parent->white_count == 0) break;
-      trace->nodes.push_back(parent);
-    }
-    ++LiveStats().node_accesses;  // reading the parent's entries
-    for (const RoutingEntry& entry : parent->children) {
-      if (entry.child.get() == node) continue;  // already covered below
-      if (pruned) {
-        if (entry.child->white_count == 0) continue;
-        // No geometric shortcut on this path — the pivot distance is
-        // computed right away, so the gate goes straight into the trace.
-        trace->nodes.push_back(entry.child.get());
-      }
-      double d = DistanceToPoint(q, entry.pivot);
-      if (d <= radius + entry.radius) {
-        RangeSearchNode(entry.child.get(), q, radius, d, filter, pruned,
-                        center, out, &spec);
-      }
-    }
-    node = parent;
-  }
 }
 
 bool MTree::SpeculationValid(const QueryTrace& trace) const {

@@ -235,15 +235,22 @@ class MTree {
   void LeafMatesWithin(ObjectId center, double radius,
                        std::vector<Neighbor>* out) const;
 
+  struct QueryTrace;  // below
+
   /// Bottom-up range query (§5): starts at the leaf holding `center` and
   /// climbs toward the root, searching intersecting sibling subtrees at each
   /// ancestor. With stop_at_grey=false this returns exactly what the
   /// top-down query returns. With stop_at_grey (Fast-C), climbing stops at
   /// the first ancestor containing no white objects, possibly missing
-  /// neighbors in distant leaves — by design (§5.1).
+  /// neighbors in distant leaves — by design (§5.1). A non-null `trace`
+  /// additionally records every color-dependent decision, the grey-stopping
+  /// climb included (see QueryTrace); it never changes the result or the
+  /// charged stats. There is no assume_black flavor: the coverage-greedy
+  /// callers query before recoloring the candidate.
   void RangeQueryBottomUp(ObjectId center, double radius, QueryFilter filter,
                           bool pruned, bool stop_at_grey,
-                          std::vector<Neighbor>* out) const;
+                          std::vector<Neighbor>* out,
+                          QueryTrace* trace = nullptr) const;
 
   // -- Speculative queries (core/speculation.h) --------------------------
 
@@ -274,15 +281,6 @@ class MTree {
                                    bool assume_black,
                                    std::vector<Neighbor>* out,
                                    QueryTrace* trace) const;
-
-  /// RangeQueryBottomUp plus the same trace; the grey-stopping climb
-  /// decisions are traced too. No assume_black flavor: the coverage-greedy
-  /// callers query before recoloring the candidate.
-  void RangeQueryBottomUpSpeculative(ObjectId center, double radius,
-                                     QueryFilter filter, bool pruned,
-                                     bool stop_at_grey,
-                                     std::vector<Neighbor>* out,
-                                     QueryTrace* trace) const;
 
   /// True while every decision the trace records would be taken the same
   /// way against the current colors: all recorded nodes still hold white

@@ -16,14 +16,13 @@
 //     sums, list appends) are byte-identical to the serial loop.
 //
 // ParallelFor and ParallelOrderedReduce run the chunks in ascending order on
-// the calling thread for a null or 1-thread pool, so every neighborhood pass
-// (the adjacency builders, NeighborBackend::BuildNeighborhoods, the M-tree's
-// neighbor-count pass, the bulk loader's nearest-seed assignment) is one
-// ordered reduction at any thread count, with no serial copy. Only the
-// greedy selection loops (core/disc_algorithms.cc, core/greedy_c.cc,
-// core/speculation.cc) keep a serial branch: they fan out once per selected
-// object over a handful of updates, where a chunked pass would cost more
-// than the work it splits.
+// the calling thread for a null or 1-thread pool (and for a single chunk),
+// so every fan-out is one call at any thread count and no serial copy
+// remains anywhere: the neighborhood passes (the adjacency builders,
+// NeighborBackend::BuildNeighborhoods, the M-tree's neighbor-count pass,
+// the bulk loader's nearest-seed assignment) and the per-step fan-outs of
+// the greedy selection loops (core/internal.h: the maintenance queries,
+// the white-style losses, the speculative prefetch).
 
 #ifndef DISC_UTIL_PARALLEL_H_
 #define DISC_UTIL_PARALLEL_H_

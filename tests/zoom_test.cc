@@ -3,7 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <functional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/bounds.h"
 #include "core/disc_algorithms.h"
@@ -315,6 +321,141 @@ TEST(LocalZoomTest, LocalZoomOutCoarsensOnlyTheRegion) {
   for (ObjectId id : old_set) old_in += region.count(id);
   for (ObjectId id : new_set) new_in += region.count(id);
   EXPECT_LE(new_in, old_in);
+}
+
+// Pins every zoom path exactly on one seeded workload: the solution (as an
+// order-sensitive digest of the id sequence, plus its size), the AccessStats
+// the operation charged, and the closest-black distance of every object
+// afterwards (digest of the bit patterns). The validity and inequality
+// tests above accept any valid answer; these values change when a rewrite
+// changes the selection order, the queries issued or the distances
+// observed. An intentional change regenerates the table from the failure
+// messages, which print each case in table syntax.
+struct PinnedZoom {
+  const char* name;
+  size_t size;
+  uint64_t solution_digest;
+  AccessStats stats;
+  uint64_t distance_digest;
+};
+
+uint64_t Fnv1a(uint64_t hash, uint64_t value) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (value >> (8 * byte)) & 0xff;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+constexpr uint64_t kFnvOffset = 14695981039346656037ull;
+
+PinnedZoom Observe(const char* name, const MTree& tree,
+                   const DiscResult& result) {
+  PinnedZoom pinned{name, result.size(), kFnvOffset, result.stats, kFnvOffset};
+  for (ObjectId id : result.solution) {
+    pinned.solution_digest = Fnv1a(pinned.solution_digest, id);
+  }
+  for (ObjectId id = 0; id < tree.size(); ++id) {
+    const double dist = tree.closest_black_dist(id);
+    uint64_t bits = 0;
+    std::memcpy(&bits, &dist, sizeof(bits));
+    pinned.distance_digest = Fnv1a(pinned.distance_digest, bits);
+  }
+  return pinned;
+}
+
+constexpr char kTableFormat[] =
+    "{\"%s\", %zu, 0x%016llxull, {%llu, %llu, %llu}, 0x%016llxull},";
+
+std::string TableLine(const PinnedZoom& p) {
+  using ull = unsigned long long;
+  char line[200];
+  std::snprintf(line, sizeof(line), kTableFormat, p.name, p.size,
+                ull{p.solution_digest}, ull{p.stats.node_accesses},
+                ull{p.stats.range_queries}, ull{p.stats.distance_computations},
+                ull{p.distance_digest});
+  return line;
+}
+
+TEST(ZoomPinnedTest, EveryZoomPathMatchesRecordedValues) {
+  const Dataset dataset = MakeClusteredDataset(1200, 2, 41);
+  const double r = 0.06, r_in = 0.03, r_out = 0.12, r_lo = 0.075;
+
+  const std::vector<PinnedZoom> expected = {
+      {"greedy-disc", 42, 0x63af1e3a648f7bfcull, {18394, 2400, 305231},
+       0x036d499e34f9d27cull},
+      {"zoom-in", 127, 0x3bb89017a4ca368full, {500, 85, 8401},
+       0xcf196d18ff874626ull},
+      {"greedy-zoom-in", 118, 0x518d417232a26ec4ull, {6928, 1164, 73408},
+       0x0d4439ca57e4049aull},
+      {"observe-all", 118, 0x518d417232a26ec4ull, {7028, 1164, 78162},
+       0xba73dc1b9f568611ull},
+      {"arbitrary", 19, 0x2d0459ce073dd962ull, {238, 19, 4699},
+       0x6841c9830eb8cac6ull},
+      {"greedy-a", 14, 0xd7925da104d16de6ull, {123, 17, 3595},
+       0x68041ee8563491c4ull},
+      {"greedy-b", 20, 0x86c521d9e8475006ull, {260, 66, 4783},
+       0x5c96be2e210490c6ull},
+      {"greedy-c", 14, 0x99c2e6f19393e189ull, {505, 59, 44727},
+       0x6a913a0413f77effull},
+      {"local-in", 45, 0x248503fff7414d83ull, {59, 4, 360},
+       0x1206c8782d69c57eull},
+      {"local-in/g", 45, 0x248503fff7414d83ull, {94, 21, 205},
+       0x708e8abc40327e1dull},
+      {"local-out", 41, 0x616b59a231294c2dull, {96, 3, 378},
+       0x66003455da866bd5ull},
+      {"local-out/g", 41, 0x616b59a231294c2dull, {25, 10, 276},
+       0xb15614c5c696786eull},
+  };
+
+  ZoomFixture base(dataset, r);
+  std::vector<PinnedZoom> actual = {
+      Observe("greedy-disc", base.tree, base.old_result)};
+  // Local zooms center on a covered object whose region holds several old
+  // picks, so both passes of a local zoom-out have work inside the region.
+  auto picks_near = [&](ObjectId id) {
+    size_t picks = 0;
+    for (ObjectId s : base.old_result.solution) {
+      picks += base.metric.Distance(dataset.point(id), dataset.point(s)) <= r;
+    }
+    return picks;
+  };
+  ObjectId c = 0;
+  while (base.tree.color(c) == Color::kBlack || picks_near(c) < 3) ++c;
+
+  // Every zoom starts from its own copy of the same Greedy-DisC state.
+  auto pin = [&](const char* name,
+                const std::function<DiscResult(MTree*)>& zoom) {
+    ZoomFixture fx(dataset, r);
+    actual.push_back(Observe(name, fx.tree, zoom(&fx.tree)));
+  };
+  pin("zoom-in", [&](MTree* t) { return ZoomIn(t, r_in, false); });
+  pin("greedy-zoom-in", [&](MTree* t) { return ZoomIn(t, r_in, true); });
+  pin("observe-all", [&](MTree* t) { return ZoomIn(t, r_in, true, true); });
+  for (ZoomOutVariant v :
+       {ZoomOutVariant::kArbitrary, ZoomOutVariant::kGreedyMostRed,
+        ZoomOutVariant::kGreedyFewestRed, ZoomOutVariant::kGreedyMostWhite}) {
+    pin(ZoomOutVariantToString(v),
+        [&](MTree* t) { return ZoomOut(t, r_out, v); });
+  }
+  pin("local-in", [&](MTree* t) { return LocalZoom(t, c, r, r_in, false); });
+  pin("local-in/g", [&](MTree* t) { return LocalZoom(t, c, r, r_in, true); });
+  pin("local-out", [&](MTree* t) { return LocalZoom(t, c, r, r_lo, false); });
+  pin("local-out/g", [&](MTree* t) { return LocalZoom(t, c, r, r_lo, true); });
+
+  std::string table;
+  for (const PinnedZoom& a : actual) table += TableLine(a) + "\n";
+  ASSERT_EQ(actual.size(), expected.size()) << table;
+  for (size_t i = 0; i < actual.size(); ++i) {
+    const PinnedZoom& a = actual[i];
+    const PinnedZoom& e = expected[i];
+    const std::string line = TableLine(a);
+    EXPECT_STREQ(a.name, e.name);
+    EXPECT_EQ(a.size, e.size) << line;
+    EXPECT_EQ(a.solution_digest, e.solution_digest) << line;
+    EXPECT_EQ(a.stats, e.stats) << line;
+    EXPECT_EQ(a.distance_digest, e.distance_digest) << line;
+  }
 }
 
 TEST(ZoomEdgeCaseTest, ZoomInWithEqualRadiusKeepsSolution) {
