@@ -12,6 +12,13 @@ Wall-clock metrics (real_time / cpu_time / *_ms columns) are machine
 dependent and excluded by default; pass --check-time to gate them too (only
 meaningful when baseline and candidate ran on comparable hardware).
 
+Repeated keys (a benchmark run with --benchmark_repetitions=N, or a table
+row its benchmark added once per run) are reduced before any comparison:
+a wall-clock metric takes the median of its values, and a deterministic
+metric must have the same value in every repetition — a file where it
+does not fails the gate, since a pure function of the code cannot differ
+between runs.
+
 Two additional modes back the CI threads matrix (both legs run on the same
 runner, so their wall clocks ARE comparable):
 
@@ -88,8 +95,13 @@ def parse_float(cell):
         return None
 
 
+def add_value(metrics, key, value):
+    metrics.setdefault(key, []).append(value)
+
+
 def extract_gb(doc):
-    """(deterministic, time) metric dicts for one google-benchmark doc."""
+    """(deterministic, time) metric dicts for one google-benchmark doc,
+    each key mapping to the list of its values in entry order."""
     deterministic, time_metrics = {}, {}
     for bench in doc.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
@@ -103,13 +115,13 @@ def extract_gb(doc):
             if not isinstance(value, (int, float)):
                 continue
             target = time_metrics if is_time_metric(field) else deterministic
-            target[f"{name} :: {field}"] = float(value)
+            add_value(target, f"{name} :: {field}", float(value))
     return deterministic, time_metrics
 
 
 def extract_table(doc):
     """(deterministic, time) metric dicts for one {"title","header","rows"}
-    table document.
+    table document, each key mapping to the list of its values in row order.
 
     Columns whose cells are non-numeric in any row are treated as row labels
     (so are columns named like workload parameters); the rest are metrics.
@@ -140,13 +152,24 @@ def extract_table(doc):
             if value is None:
                 continue
             target = time_metrics if is_time_metric(column) else deterministic
-            target[f"{title} :: {label} :: {column}"] = value
+            add_value(target, f"{title} :: {label} :: {column}", value)
     return deterministic, time_metrics
 
 
+def median(values):
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def extract_all(merged):
+    """(deterministic, time, unstable) for one merged file: one value per
+    key, with repeated keys reduced (see the module docstring). `unstable`
+    lists the deterministic keys whose repetitions disagree."""
     docs = merged if isinstance(merged, list) else [merged]
-    deterministic, time_metrics = {}, {}
+    det_values, time_values = {}, {}
     for doc in docs:
         if not isinstance(doc, dict):
             continue
@@ -156,9 +179,15 @@ def extract_all(merged):
             det, tm = extract_table(doc)
         else:
             continue
-        deterministic.update(det)
-        time_metrics.update(tm)
-    return deterministic, time_metrics
+        for source, target in ((det, det_values), (tm, time_values)):
+            for key, values in source.items():
+                target.setdefault(key, []).extend(values)
+    unstable = sorted(key for key, values in det_values.items()
+                      if len(set(values)) > 1)
+    deterministic = {key: values[0] for key, values in det_values.items()}
+    time_metrics = {key: median(values)
+                    for key, values in time_values.items()}
+    return deterministic, time_metrics, unstable
 
 
 def check_bounds(metrics, specs, kind):
@@ -264,15 +293,17 @@ def main():
         return 2
 
     try:
-        base_det, base_time = {}, {}
+        base_det, base_time, base_unstable = {}, {}, []
         if args.baseline is not None:
             with open(args.baseline) as f:
-                base_det, base_time = extract_all(json.load(f))
+                base_det, base_time, base_unstable = extract_all(json.load(f))
         with open(args.candidate) as f:
-            cand_det, cand_time = extract_all(json.load(f))
+            cand_det, cand_time, cand_unstable = extract_all(json.load(f))
     except (OSError, json.JSONDecodeError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    unstable = [(args.baseline, key) for key in base_unstable] + \
+               [(args.candidate, key) for key in cand_unstable]
 
     baseline = dict(base_det)
     candidate = dict(cand_det)
@@ -312,6 +343,8 @@ def main():
               f"baseline, see --help)")
     for key, base, new, delta in regressions:
         print(f"  REGRESSED: {key}: {base:g} -> {new:g} ({delta * 100:+.1f}%)")
+    for path, key in unstable:
+        print(f"  UNSTABLE : {key} differs between repetitions in {path}")
 
     speedup_failures, speedup_matched = [], 0
     if args.require_speedup is not None:
@@ -334,7 +367,7 @@ def main():
         bound_failures.extend(failures)
 
     failed = bool(regressions or missing or speedup_failures
-                  or bound_failures)
+                  or bound_failures or unstable)
     if args.require_identical and improvements:
         failed = True
     if failed:

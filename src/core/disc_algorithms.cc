@@ -152,12 +152,11 @@ void OrderedNeighborhoods::Run(MTree* tree, ThreadPool* pool,
         Hood& hood = hoods_[j - first];
         hood.found.clear();
         hood.cost = AccessStats{};
-        MTree::ThreadStatsScope stats_scope(*tree, &hood.cost);
-        query(centers[j], &hood.found);
+        query(centers[j], &hood.found, &hood.cost);
       }
     });
     for (size_t j = first; j < last; ++j) {
-      tree->ChargeStats(hoods_[j - first].cost);
+      tree->stats() += hoods_[j - first].cost;
       apply(j, hoods_[j - first].found);
     }
   }
@@ -201,9 +200,9 @@ void GreedySelect(MTree* tree, IndexedMaxHeap* heap,
       // neighborhood member.
       grey_updates.Run(
           tree, pool, newly_grey,
-          [&](ObjectId pj, std::vector<Neighbor>* out) {
+          [&](ObjectId pj, std::vector<Neighbor>* out, AccessStats* sink) {
             tree->RangeQueryAround(pj, update.radius, update.filter,
-                                   update.pruned, out);
+                                   update.pruned, out, /*trace=*/nullptr, sink);
           },
           [&](size_t, const std::vector<Neighbor>& hood) {
             for (const Neighbor& nb : hood) {
@@ -228,20 +227,21 @@ void GreedySelect(MTree* tree, IndexedMaxHeap* heap,
         RecommendedGrain(update_found.size(), pool),
         [&](size_t chunk_begin, size_t chunk_end) {
           LossResult r;
-          MTree::ThreadStatsScope stats_scope(*tree, &r.cost);
           for (size_t j = chunk_begin; j < chunk_end; ++j) {
             const ObjectId id = update_found[j].id;
             if (!is_candidate(id)) continue;
             int64_t lost = 0;
             for (ObjectId pj : newly_grey) {
-              if (tree->Distance(id, pj) <= update.loss_radius) ++lost;
+              if (tree->Distance(id, pj, &r.cost) <= update.loss_radius) {
+                ++lost;
+              }
             }
             if (lost > 0) r.lost.emplace_back(id, lost);
           }
           return r;
         },
         [&](LossResult& r) {
-          tree->ChargeStats(r.cost);
+          tree->stats() += r.cost;
           for (const auto& [id, lost] : r.lost) heap->Adjust(id, -lost);
         });
   }
@@ -296,7 +296,7 @@ DiscResult GreedyDisc(MTree* tree, double radius,
   // identical to the serial loop at any (width, thread count).
   const size_t width = ResolveSpeculationWidth(options.speculate, options.pool);
   SelectionSpeculator speculator(tree, radius, filter, options.pruned,
-                                 SelectionSpeculator::QueryKind::kGreedyDisc,
+                                 SelectionSpeculator::QueryKind::kAround,
                                  width, options.pool);
   std::vector<ObjectId> solution;
   internal::GreedySelect(tree, &heap, &speculator, update, options.pool,

@@ -57,8 +57,8 @@ DiscResult CoverageGreedy(MTree* tree, double radius, bool fast,
   const size_t width = ResolveSpeculationWidth(speculate, pool);
   SelectionSpeculator speculator(
       tree, radius, fast ? QueryFilter::kWhiteOnly : QueryFilter::kAll,
-      /*pruned=*/fast, fast ? SelectionSpeculator::QueryKind::kFastC
-                            : SelectionSpeculator::QueryKind::kGreedyC,
+      /*pruned=*/fast, fast ? SelectionSpeculator::QueryKind::kBottomUp
+                            : SelectionSpeculator::QueryKind::kAround,
       width, pool);
 
   std::vector<ObjectId> solution;
@@ -121,12 +121,13 @@ DiscResult CoverageGreedy(MTree* tree, double radius, bool fast,
     // adjustments apply on the calling thread in newly-grey order.
     updates.Run(
         tree, pool, newly_grey,
-        [&](ObjectId pj, std::vector<Neighbor>* out) {
+        [&](ObjectId pj, std::vector<Neighbor>* out, AccessStats* sink) {
           if (fast) {
-            tree->LeafMatesWithin(pj, radius, out);
+            tree->LeafMatesWithin(pj, radius, out, sink);
           } else {
             tree->RangeQueryAround(pj, radius, QueryFilter::kAll,
-                                   /*pruned=*/false, out);
+                                   /*pruned=*/false, out, /*trace=*/nullptr,
+                                   sink);
           }
         },
         [&](size_t j, const std::vector<Neighbor>& hood) {

@@ -41,18 +41,20 @@ class RunScope {
 };
 
 /// The per-step maintenance fan-out of the greedy loops: query each
-/// newly-grey center, apply in order. Run() issues `query(center, &found)`
-/// for the centers as a ParallelFor across `pool` (in order on the calling
-/// thread for a null or 1-thread pool), each under a private stats sink,
-/// then on the calling thread, in `centers` order, charges each query's
-/// cost to the tree and calls `apply(index, found)`; it does so for
+/// newly-grey center, apply in order. Run() issues
+/// `query(center, &found, &cost)` for the centers as a ParallelFor across
+/// `pool` (in order on the calling thread for a null or 1-thread pool); the
+/// query must charge the tree's work to the private sink `cost`. Then, on
+/// the calling thread, in `centers` order, it adds each cost to the tree's
+/// stats() and calls `apply(index, found)`; it does so for
 /// consecutive blocks of centers. Colors must not change between the
 /// queries and the applies, which is what makes the result, the stats and
 /// the heap identical at any thread count and block size. The neighbor
 /// buffers persist across steps.
 class OrderedNeighborhoods {
  public:
-  using Query = std::function<void(ObjectId, std::vector<Neighbor>*)>;
+  using Query =
+      std::function<void(ObjectId, std::vector<Neighbor>*, AccessStats*)>;
   using Apply = std::function<void(size_t, const std::vector<Neighbor>&)>;
 
   void Run(MTree* tree, ThreadPool* pool, const std::vector<ObjectId>& centers,

@@ -26,16 +26,14 @@ SelectionSpeculator::SelectionSpeculator(MTree* tree, double radius,
       pool_(pool) {}
 
 void SelectionSpeculator::Query(ObjectId center, std::vector<Neighbor>* out,
-                                MTree::QueryTrace* trace) const {
-  if (kind_ == QueryKind::kFastC) {
+                                MTree::QueryTrace* trace,
+                                AccessStats* sink) const {
+  if (kind_ == QueryKind::kBottomUp) {
     tree_->RangeQueryBottomUp(center, radius_, filter_, pruned_,
-                              /*stop_at_grey=*/true, out, trace);
-  } else if (trace == nullptr) {
-    tree_->RangeQueryAround(center, radius_, filter_, pruned_, out);
+                              /*stop_at_grey=*/true, out, trace, sink);
   } else {
-    tree_->RangeQueryAroundSpeculative(
-        center, radius_, filter_, pruned_,
-        /*assume_black=*/kind_ == QueryKind::kGreedyDisc, out, trace);
+    tree_->RangeQueryAround(center, radius_, filter_, pruned_, out, trace,
+                            sink);
   }
 }
 
@@ -53,8 +51,7 @@ void SelectionSpeculator::MaybePrefetch(const IndexedMaxHeap& heap) {
     for (size_t i = begin; i < end; ++i) {
       Entry& entry = cache_[i];
       entry.center = static_cast<ObjectId>(candidates[i]);
-      MTree::ThreadStatsScope scope(*tree_, &entry.cost);
-      Query(entry.center, &entry.found, &entry.trace);
+      Query(entry.center, &entry.found, &entry.trace, &entry.cost);
     }
   });
 }
@@ -66,7 +63,7 @@ void SelectionSpeculator::Take(ObjectId center, std::vector<Neighbor>* out) {
     cache_.erase(cache_.begin() + static_cast<ptrdiff_t>(i));
     if (tree_->SpeculationValid(entry.trace)) {
       ++stats_.committed;
-      tree_->ChargeStats(entry.cost);
+      tree_->stats() += entry.cost;
       *out = std::move(entry.found);
       return;
     }
@@ -78,7 +75,7 @@ void SelectionSpeculator::Take(ObjectId center, std::vector<Neighbor>* out) {
     break;
   }
   Flush();
-  Query(center, out, /*trace=*/nullptr);
+  Query(center, out, /*trace=*/nullptr, /*sink=*/nullptr);
 }
 
 void SelectionSpeculator::Flush() {

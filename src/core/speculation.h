@@ -84,14 +84,14 @@ class SelectionSpeculator {
  public:
   /// Which serial selection query is being mirrored.
   enum class QueryKind {
-    /// Greedy-DisC: RangeQueryAround after the candidate turned black —
-    /// speculation assumes the candidate black (MTree::QueryTrace).
-    kGreedyDisc,
-    /// Greedy-C: RangeQueryAround, kAll/unpruned, before recoloring.
-    /// Color-independent, so speculation never invalidates.
-    kGreedyC,
+    /// RangeQueryAround. Greedy-DisC and the greedy zooms query after the
+    /// candidate turned black, which the traced speculative query assumes
+    /// (MTree::RangeQueryAround); Greedy-C queries kAll/unpruned before
+    /// recoloring, where that assumption changes nothing, so its
+    /// speculation never invalidates.
+    kAround,
     /// Fast-C: grey-stopping bottom-up query, before recoloring.
-    kFastC,
+    kBottomUp,
   };
 
   /// `width` is the resolved batch size (ResolveSpeculationWidth); <= 1
@@ -118,15 +118,15 @@ class SelectionSpeculator {
     ObjectId center = kInvalidObject;
     std::vector<Neighbor> found;
     MTree::QueryTrace trace;
-    AccessStats cost;  // accounted via a private sink; charged on commit
+    AccessStats cost;  // the query's private sink; added to stats() on commit
   };
 
-  // The selection query for `center`. With a trace it runs the
-  // speculative flavor (assuming the candidate black for kGreedyDisc) and
-  // records every color-dependent decision; with a null trace it is the
-  // plain query the loop would run at that moment.
+  // The selection query for `center`, charged to `sink` (null: the
+  // tree's stats()). With a trace it records every color-dependent decision
+  // (kAround assumes the candidate black); with a null trace it is
+  // the plain query the loop would run at that moment.
   void Query(ObjectId center, std::vector<Neighbor>* out,
-             MTree::QueryTrace* trace) const;
+             MTree::QueryTrace* trace, AccessStats* sink) const;
   void Flush();
 
   MTree* tree_;

@@ -46,7 +46,7 @@ void GreedyCover(MTree* tree, double r_new, const std::vector<ObjectId>& whites,
   }
   SelectionSpeculator select(
       tree, r_new, observe_all ? QueryFilter::kAll : QueryFilter::kWhiteOnly,
-      /*pruned=*/!observe_all, SelectionSpeculator::QueryKind::kGreedyDisc,
+      /*pruned=*/!observe_all, SelectionSpeculator::QueryKind::kAround,
       /*width=*/1, /*pool=*/nullptr);
   internal::GreedyUpdate grey_style;  // white-only, pruned
   grey_style.radius = r_new;

@@ -61,12 +61,9 @@ struct Cluster {
 // thread count.
 class SeedPartitioner {
  public:
-  using DistFn = double (*)(const MTree&, ObjectId, ObjectId);
-
-  SeedPartitioner(const MTree& tree, DistFn dist, size_t max_group,
-                  uint64_t* rng, ThreadPool* pool)
-      : tree_(tree), dist_(dist), max_group_(max_group), rng_(rng),
-        pool_(pool) {}
+  SeedPartitioner(const MTree& tree, size_t max_group, uint64_t* rng,
+                  ThreadPool* pool)
+      : tree_(tree), max_group_(max_group), rng_(rng), pool_(pool) {}
 
   std::vector<Cluster> Partition(std::vector<ObjectId> ids) {
     std::vector<Cluster> out;
@@ -106,12 +103,11 @@ class SeedPartitioner {
         pool_, 0, n, RecommendedGrain(n, pool_),
         [&](size_t chunk_begin, size_t chunk_end) {
           AccessStats stats;
-          MTree::ThreadStatsScope scope(tree_, &stats);
           for (size_t i = chunk_begin; i < chunk_end; ++i) {
             size_t seed = 0;
             double seed_dist = std::numeric_limits<double>::infinity();
             for (size_t s = 0; s < k; ++s) {
-              double d = dist_(tree_, ids[i], ids[s]);
+              double d = tree_.Distance(ids[i], ids[s], &stats);
               if (d < seed_dist) {
                 seed_dist = d;
                 seed = s;
@@ -121,7 +117,7 @@ class SeedPartitioner {
           }
           return stats;
         },
-        [&](AccessStats& stats) { tree_.ChargeStats(stats); });
+        [&](AccessStats& stats) { tree_.stats() += stats; });
     std::vector<std::vector<Member>> groups(k);
     for (size_t i = 0; i < n; ++i) {
       groups[best[i].first].push_back(Member{ids[i], best[i].second});
@@ -157,22 +153,17 @@ class SeedPartitioner {
       cluster.members.reserve(end - begin);
       for (size_t i = begin; i < end; ++i) {
         cluster.members.push_back(
-            Member{ids[i], dist_(tree_, ids[i], cluster.seed)});
+            Member{ids[i], tree_.Distance(ids[i], cluster.seed)});
       }
       out->push_back(std::move(cluster));
     }
   }
 
   const MTree& tree_;
-  DistFn dist_;
   size_t max_group_;
   uint64_t* rng_;
   ThreadPool* pool_;
 };
-
-double TreeDistance(const MTree& tree, ObjectId a, ObjectId b) {
-  return tree.Distance(a, b);
-}
 
 }  // namespace
 
@@ -200,8 +191,7 @@ Status MTree::BulkLoad(ThreadPool* pool) {
     return Status::OK();
   }
 
-  SeedPartitioner partitioner(*this, &TreeDistance, capacity, &rng_state_,
-                              pool);
+  SeedPartitioner partitioner(*this, capacity, &rng_state_, pool);
 
   // ---- Phase 1: cluster objects into leaf-sized groups ----
   std::vector<ObjectId> ids(n);

@@ -18,30 +18,6 @@
 
 namespace disc {
 
-namespace {
-
-// The active per-thread stats redirect (MTree::ThreadStatsScope). Keyed by
-// tree so a thread touching several trees only redirects the scoped one.
-thread_local const MTree* tls_stats_tree = nullptr;
-thread_local AccessStats* tls_stats_sink = nullptr;
-
-}  // namespace
-
-MTree::ThreadStatsScope::ThreadStatsScope(const MTree& tree, AccessStats* sink)
-    : prev_tree_(tls_stats_tree), prev_sink_(tls_stats_sink) {
-  tls_stats_tree = &tree;
-  tls_stats_sink = sink;
-}
-
-MTree::ThreadStatsScope::~ThreadStatsScope() {
-  tls_stats_tree = prev_tree_;
-  tls_stats_sink = prev_sink_;
-}
-
-AccessStats& MTree::LiveStats() const {
-  return tls_stats_tree == this ? *tls_stats_sink : stats_;
-}
-
 MTree::MTree(const Dataset& dataset, const DistanceMetric& metric,
              MTreeOptions options)
     : dataset_(dataset),
@@ -51,13 +27,14 @@ MTree::MTree(const Dataset& dataset, const DistanceMetric& metric,
 
 MTree::~MTree() = default;
 
-double MTree::Distance(ObjectId a, ObjectId b) const {
-  ++LiveStats().distance_computations;
+double MTree::Distance(ObjectId a, ObjectId b, AccessStats* sink) const {
+  ++SinkOrStats(sink)->distance_computations;
   return metric_.Distance(dataset_.point(a), dataset_.point(b));
 }
 
-double MTree::DistanceToPoint(const Point& q, ObjectId b) const {
-  ++LiveStats().distance_computations;
+double MTree::DistanceToPoint(const Point& q, ObjectId b,
+                              AccessStats* stats) const {
+  ++stats->distance_computations;
   return metric_.Distance(q, dataset_.point(b));
 }
 
@@ -108,8 +85,8 @@ Status MTree::BuildWithNeighborCounts(double radius,
       // The tree is mid-construction by design, so the built_ precondition
       // does not apply here.
       found.clear();
-      RangeQueryUnchecked(dataset_.point(id), radius, QueryFilter::kAll,
-                          /*pruned=*/false, &found);
+      RangeQuery(dataset_.point(id), radius, QueryFilter::kAll,
+                 /*pruned=*/false, &found);
       (*counts)[id] = static_cast<uint32_t>(found.size());
       for (const Neighbor& nb : found) ++(*counts)[nb.id];
     }
@@ -122,16 +99,10 @@ Status MTree::BuildWithNeighborCounts(double radius,
 
 namespace {
 
-// The distance the count pass evaluates. KernelDistance inlines a built-in
-// metric's loop; VirtualDistance keeps the virtual call for every other
-// metric, so wrappers (call counters, caches) still see each evaluation.
-template <typename Metric>
-struct KernelDistance {
-  double operator()(const Point& a, const Point& b) const {
-    return Metric::Kernel(a, b);
-  }
-};
-
+// The distance a range search evaluates. VirtualDistance is the metric's
+// virtual call, so wrappers (call counters, caches) see each evaluation;
+// the queries always use it, and so does the count pass for any metric but
+// the four built-in ones, whose loop KernelDistance inlines there.
 struct VirtualDistance {
   const DistanceMetric& metric;
   double operator()(const Point& a, const Point& b) const {
@@ -139,37 +110,61 @@ struct VirtualDistance {
   }
 };
 
+template <typename Metric>
+struct KernelDistance {
+  double operator()(const Point& a, const Point& b) const {
+    return Metric::Kernel(a, b);
+  }
+};
+
+// What a range search does with each object it reports, besides counting
+// it: the queries append it, the count pass needs only the count.
+struct AppendNeighbor {
+  std::vector<Neighbor>* out;
+  void operator()(ObjectId id, double d) const {
+    out->push_back(Neighbor{id, d});
+  }
+};
+
+struct CountOnly {
+  void operator()(ObjectId, double) const {}
+};
+
 }  // namespace
 
 void MTree::ComputeNeighborCountsPostBuild(double radius,
                                            std::vector<uint32_t>* counts,
-                                           ThreadPool* pool) {
+                                           ThreadPool* pool,
+                                           AccessStats* sink) {
   assert(built_);
+  AccessStats* const target = SinkOrStats(sink);
   const size_t n = dataset_.size();
   counts->assign(n, 0);
   const size_t grain = RecommendedGrain(n, pool);
   // Each chunk counts under a private AccessStats and writes its own slice
-  // of `counts`; the sinks are charged to the caller's live counters in
-  // chunk order. A null or 1-thread pool runs the chunks in order on the
-  // calling thread, so every thread count gives the same counts and totals.
+  // of `counts`; the chunk sinks are added to `target` in chunk order. A
+  // null or 1-thread pool runs the chunks in order on the calling thread,
+  // so every thread count gives the same counts and totals.
   auto pass = [&](const auto& dist) {
     ParallelOrderedReduce<AccessStats>(
         pool, 0, n, grain,
         [&](size_t chunk_begin, size_t chunk_end) {
           AccessStats local;
           for (size_t id = chunk_begin; id < chunk_end; ++id) {
+            const ObjectId center = static_cast<ObjectId>(id);
             ++local.range_queries;
-            (*counts)[id] = CountWithin(
-                root_.get(), dataset_.point(static_cast<ObjectId>(id)),
-                radius, std::numeric_limits<double>::quiet_NaN(),
-                static_cast<ObjectId>(id), dist, &local);
+            (*counts)[id] = RangeSearchNode(
+                root_.get(), dataset_.point(center), radius,
+                std::numeric_limits<double>::quiet_NaN(), QueryFilter::kAll,
+                /*pruned=*/false, center, dist, CountOnly{}, /*spec=*/nullptr,
+                &local);
           }
           return local;
         },
-        [&](AccessStats& local) { LiveStats() += local; });
+        [&](AccessStats& local) { *target += local; });
   };
   // The kernel is picked once per pass by exact dynamic type (the built-in
-  // metrics are final), so CountWithin inlines it.
+  // metrics are final), so RangeSearchNode inlines it.
   const std::type_info& type = typeid(metric_);
   if (type == typeid(EuclideanMetric)) {
     pass(KernelDistance<EuclideanMetric>{});
@@ -182,42 +177,6 @@ void MTree::ComputeNeighborCountsPostBuild(double radius,
   } else {
     pass(VirtualDistance{metric_});
   }
-}
-
-template <typename Dist>
-uint32_t MTree::CountWithin(const Node* node, const Point& q, double radius,
-                            double dist_to_pivot, ObjectId exclude,
-                            const Dist& dist, AccessStats* local) const {
-  // RangeSearchNode with QueryFilter::kAll, unpruned: the same filters, the
-  // same charges, and a count instead of a neighbor list.
-  ++local->node_accesses;
-  const bool have_parent_dist = !std::isnan(dist_to_pivot);
-  uint32_t count = 0;
-  if (node->is_leaf) {
-    for (const LeafEntry& entry : node->objects) {
-      if (entry.object == exclude) continue;
-      if (have_parent_dist &&
-          std::fabs(dist_to_pivot - entry.parent_dist) > radius) {
-        continue;
-      }
-      ++local->distance_computations;
-      if (dist(q, dataset_.point(entry.object)) <= radius) ++count;
-    }
-    return count;
-  }
-  for (const RoutingEntry& entry : node->children) {
-    if (have_parent_dist &&
-        std::fabs(dist_to_pivot - entry.parent_dist) > radius + entry.radius) {
-      continue;
-    }
-    ++local->distance_computations;
-    const double d = dist(q, dataset_.point(entry.pivot));
-    if (d <= radius + entry.radius) {
-      count += CountWithin(entry.child.get(), q, radius, d, exclude, dist,
-                           local);
-    }
-  }
-  return count;
 }
 
 Status MTree::CheckBuildPreconditions() const {
@@ -253,7 +212,7 @@ void MTree::Insert(ObjectId id) {
   }
 
   Node* node = root_.get();
-  ++LiveStats().node_accesses;
+  ++stats_.node_accesses;
   while (!node->is_leaf) {
     // Choose the child needing the least covering-radius enlargement,
     // preferring children that already contain the point.
@@ -264,7 +223,7 @@ void MTree::Insert(ObjectId id) {
     bool found_inside = false;
     for (size_t i = 0; i < node->children.size(); ++i) {
       RoutingEntry& entry = node->children[i];
-      double d = DistanceToPoint(p, entry.pivot);
+      double d = DistanceToPoint(p, entry.pivot, &stats_);
       if (d <= entry.radius) {
         if (!found_inside || d < best_inside) {
           found_inside = true;
@@ -287,11 +246,12 @@ void MTree::Insert(ObjectId id) {
       chosen.child->radius = best_dist;
     }
     node = chosen.child.get();
-    ++LiveStats().node_accesses;
+    ++stats_.node_accesses;
   }
 
-  double parent_dist =
-      node->pivot == kInvalidObject ? 0.0 : DistanceToPoint(p, node->pivot);
+  double parent_dist = node->pivot == kInvalidObject
+                           ? 0.0
+                           : DistanceToPoint(p, node->pivot, &stats_);
   node->objects.push_back(LeafEntry{id, parent_dist});
   leaf_of_[id] = node;
   AdjustWhiteCount(node, +1);
@@ -313,38 +273,47 @@ void MTree::AdjustWhiteCount(Node* leaf, int delta) {
 // ---------------------------------------------------------------------------
 
 void MTree::RangeQuery(const Point& center, double radius, QueryFilter filter,
-                       bool pruned, std::vector<Neighbor>* out) const {
-  assert(built_);
-  RangeQueryUnchecked(center, radius, filter, pruned, out);
-}
-
-void MTree::RangeQueryUnchecked(const Point& center, double radius,
-                                QueryFilter filter, bool pruned,
-                                std::vector<Neighbor>* out) const {
-  ++LiveStats().range_queries;
+                       bool pruned, std::vector<Neighbor>* out,
+                       AccessStats* sink) const {
+  // No built_ precondition: BuildWithNeighborCounts queries the partial
+  // tree before inserting each object.
+  assert(root_ != nullptr);
+  AccessStats* const stats = SinkOrStats(sink);
+  ++stats->range_queries;
   RangeSearchNode(root_.get(), center, radius,
                   std::numeric_limits<double>::quiet_NaN(), filter, pruned,
-                  kInvalidObject, out);
+                  kInvalidObject, VirtualDistance{metric_}, AppendNeighbor{out},
+                  /*spec=*/nullptr, stats);
 }
 
-void MTree::RangeQueryAround(ObjectId center, double radius,
-                             QueryFilter filter, bool pruned,
-                             std::vector<Neighbor>* out) const {
-  assert(built_);
-  ++LiveStats().range_queries;
-  RangeSearchNode(root_.get(), dataset_.point(center), radius,
-                  std::numeric_limits<double>::quiet_NaN(), filter, pruned,
-                  center, out);
-}
-
-// Speculation bookkeeping for the *Speculative query flavors: the trace
-// being recorded plus the assume_black simulation (the candidate's leaf-to-
-// root ancestor path, empty when no assumption applies — the candidate was
-// not white, or the query has no assume_black flavor).
+// Speculation bookkeeping for traced queries: the trace being recorded plus
+// the black-center simulation (the center's leaf-to-root ancestor path,
+// empty when no assumption applies — the center was not white, or the query
+// is a bottom-up one).
 struct MTree::SpecState {
   QueryTrace* trace = nullptr;
   std::vector<const Node*> black_path;
 };
+
+void MTree::RangeQueryAround(ObjectId center, double radius,
+                             QueryFilter filter, bool pruned,
+                             std::vector<Neighbor>* out, QueryTrace* trace,
+                             AccessStats* sink) const {
+  assert(built_);
+  AccessStats* const stats = SinkOrStats(sink);
+  ++stats->range_queries;
+  SpecState spec;
+  spec.trace = trace;
+  if (trace != nullptr && colors_[center] == Color::kWhite) {
+    for (const Node* n = leaf_of_[center]; n != nullptr; n = n->parent) {
+      spec.black_path.push_back(n);
+    }
+  }
+  RangeSearchNode(root_.get(), dataset_.point(center), radius,
+                  std::numeric_limits<double>::quiet_NaN(), filter, pruned,
+                  center, VirtualDistance{metric_}, AppendNeighbor{out},
+                  trace == nullptr ? nullptr : &spec, stats);
+}
 
 uint32_t MTree::EffectiveWhiteCount(const Node* node,
                                     const SpecState* spec) const {
@@ -357,31 +326,39 @@ uint32_t MTree::EffectiveWhiteCount(const Node* node,
   return wc;
 }
 
-void MTree::RangeSearchNode(const Node* node, const Point& center,
-                            double radius, double dist_center_to_node_pivot,
-                            QueryFilter filter, bool pruned, ObjectId exclude,
-                            std::vector<Neighbor>* out, SpecState* spec) const {
-  ++LiveStats().node_accesses;
-  const bool have_parent_dist = !std::isnan(dist_center_to_node_pivot);
+template <typename Dist, typename Hit>
+uint32_t MTree::RangeSearchNode(const Node* node, const Point& center,
+                                double radius, double dist_to_pivot,
+                                QueryFilter filter, bool pruned,
+                                ObjectId exclude, const Dist& dist,
+                                const Hit& hit, SpecState* spec,
+                                AccessStats* stats) const {
+  ++stats->node_accesses;
+  const bool have_parent_dist = !std::isnan(dist_to_pivot);
+  uint32_t hits = 0;
   if (node->is_leaf) {
+    const bool white_gated = filter == QueryFilter::kWhiteOnly;
     for (const LeafEntry& entry : node->objects) {
       if (entry.object == exclude) continue;
-      const bool white_gated = filter == QueryFilter::kWhiteOnly;
       if (white_gated && colors_[entry.object] != Color::kWhite) continue;
       // Triangle-inequality shortcut via the precomputed parent distance.
       // Objects it skips never cost a distance computation whatever their
       // color, so only objects surviving it go into the trace.
       if (have_parent_dist &&
-          std::fabs(dist_center_to_node_pivot - entry.parent_dist) > radius) {
+          std::fabs(dist_to_pivot - entry.parent_dist) > radius) {
         continue;
       }
       if (white_gated && spec != nullptr) {
         spec->trace->whites.push_back(entry.object);
       }
-      double d = DistanceToPoint(center, entry.object);
-      if (d <= radius) out->push_back(Neighbor{entry.object, d});
+      ++stats->distance_computations;
+      const double d = dist(center, dataset_.point(entry.object));
+      if (d <= radius) {
+        hit(entry.object, d);
+        ++hits;
+      }
     }
-    return;
+    return hits;
   }
   for (const RoutingEntry& entry : node->children) {
     bool white_gated = false;
@@ -393,34 +370,37 @@ void MTree::RangeSearchNode(const Node* node, const Point& center,
       white_gated = true;
     }
     if (have_parent_dist &&
-        std::fabs(dist_center_to_node_pivot - entry.parent_dist) >
-            radius + entry.radius) {
+        std::fabs(dist_to_pivot - entry.parent_dist) > radius + entry.radius) {
       continue;
     }
     // Past the geometric shortcut the pivot distance is computed
     // unconditionally, so a white-gated child that loses its last white
-    // object invalidates the speculation (the plain query would skip the
+    // object invalidates the speculation (the untraced query would skip the
     // computation). Shortcut-skipped children cost nothing either way.
     if (white_gated && spec != nullptr) {
       spec->trace->nodes.push_back(entry.child.get());
     }
-    double d = DistanceToPoint(center, entry.pivot);
+    ++stats->distance_computations;
+    const double d = dist(center, dataset_.point(entry.pivot));
     if (d <= radius + entry.radius) {
-      RangeSearchNode(entry.child.get(), center, radius, d, filter, pruned,
-                      exclude, out, spec);
+      hits += RangeSearchNode(entry.child.get(), center, radius, d, filter,
+                              pruned, exclude, dist, hit, spec, stats);
     }
   }
+  return hits;
 }
 
 void MTree::LeafMatesWithin(ObjectId center, double radius,
-                            std::vector<Neighbor>* out) const {
+                            std::vector<Neighbor>* out,
+                            AccessStats* sink) const {
   assert(built_);
+  AccessStats* const stats = SinkOrStats(sink);
   const Node* leaf = leaf_of_[center];
-  ++LiveStats().node_accesses;
+  ++stats->node_accesses;
   const Point& q = dataset_.point(center);
   for (const LeafEntry& entry : leaf->objects) {
     if (entry.object == center) continue;
-    double d = DistanceToPoint(q, entry.object);
+    double d = DistanceToPoint(q, entry.object, stats);
     if (d <= radius) out->push_back(Neighbor{entry.object, d});
   }
 }
@@ -428,10 +408,13 @@ void MTree::LeafMatesWithin(ObjectId center, double radius,
 void MTree::RangeQueryBottomUp(ObjectId center, double radius,
                                QueryFilter filter, bool pruned,
                                bool stop_at_grey, std::vector<Neighbor>* out,
-                               QueryTrace* trace) const {
+                               QueryTrace* trace, AccessStats* sink) const {
   assert(built_);
-  ++LiveStats().range_queries;
+  AccessStats* const stats = SinkOrStats(sink);
+  ++stats->range_queries;
   const Point& q = dataset_.point(center);
+  const VirtualDistance dist{metric_};
+  const AppendNeighbor hit{out};
   SpecState spec;
   spec.trace = trace;
   SpecState* const spec_ptr = trace == nullptr ? nullptr : &spec;
@@ -444,9 +427,9 @@ void MTree::RangeQueryBottomUp(ObjectId center, double radius,
   Node* node = leaf_of_[center];
   double d_node = node->pivot == kInvalidObject
                       ? std::numeric_limits<double>::quiet_NaN()
-                      : DistanceToPoint(q, node->pivot);
-  RangeSearchNode(node, q, radius, d_node, filter, pruned, center, out,
-                  spec_ptr);
+                      : DistanceToPoint(q, node->pivot, stats);
+  RangeSearchNode(node, q, radius, d_node, filter, pruned, center, dist, hit,
+                  spec_ptr, stats);
 
   while (node->parent != nullptr) {
     Node* parent = node->parent;
@@ -458,7 +441,7 @@ void MTree::RangeQueryBottomUp(ObjectId center, double radius,
       if (parent->white_count == 0) break;
       if (trace != nullptr) trace->nodes.push_back(parent);
     }
-    ++LiveStats().node_accesses;  // reading the parent's entries
+    ++stats->node_accesses;  // reading the parent's entries
     for (const RoutingEntry& entry : parent->children) {
       if (entry.child.get() == node) continue;  // already covered below
       if (pruned) {
@@ -467,37 +450,14 @@ void MTree::RangeQueryBottomUp(ObjectId center, double radius,
         // computed right away, so the gate goes straight into the trace.
         if (trace != nullptr) trace->nodes.push_back(entry.child.get());
       }
-      double d = DistanceToPoint(q, entry.pivot);
+      double d = DistanceToPoint(q, entry.pivot, stats);
       if (d <= radius + entry.radius) {
         RangeSearchNode(entry.child.get(), q, radius, d, filter, pruned,
-                        center, out, spec_ptr);
+                        center, dist, hit, spec_ptr, stats);
       }
     }
     node = parent;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Speculative queries
-// ---------------------------------------------------------------------------
-
-void MTree::RangeQueryAroundSpeculative(ObjectId center, double radius,
-                                        QueryFilter filter, bool pruned,
-                                        bool assume_black,
-                                        std::vector<Neighbor>* out,
-                                        QueryTrace* trace) const {
-  assert(built_);
-  ++LiveStats().range_queries;
-  SpecState spec;
-  spec.trace = trace;
-  if (assume_black && colors_[center] == Color::kWhite) {
-    for (const Node* n = leaf_of_[center]; n != nullptr; n = n->parent) {
-      spec.black_path.push_back(n);
-    }
-  }
-  RangeSearchNode(root_.get(), dataset_.point(center), radius,
-                  std::numeric_limits<double>::quiet_NaN(), filter, pruned,
-                  center, out, &spec);
 }
 
 bool MTree::SpeculationValid(const QueryTrace& trace) const {
@@ -635,7 +595,7 @@ void MTree::ScanLeaves(bool skip_grey_leaves,
   for (const Node* leaf = first_leaf_; leaf != nullptr;
        leaf = leaf->next_leaf) {
     if (skip_grey_leaves && leaf->white_count == 0) continue;
-    ++LiveStats().node_accesses;
+    ++stats_.node_accesses;
     for (const LeafEntry& entry : leaf->objects) {
       fn(entry.object);
     }

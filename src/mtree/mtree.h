@@ -7,7 +7,8 @@
 // MTreeOptions::build — and this implementation adds everything the DisC
 // algorithms of the paper need:
 //  * leaf chaining for single left-to-right traversals (Basic-DisC locality),
-//  * node-access accounting (the paper's primary cost metric),
+//  * node-access accounting (the paper's primary cost metric), charged to
+//    each call's optional AccessStats sink or else to stats(),
 //  * range queries in top-down and bottom-up flavors,
 //  * object colors (white/grey/black/red) with per-node white counters so the
 //    §5.1 pruning rule ("skip subtrees with no white objects") is O(1),
@@ -199,60 +200,29 @@ class MTree {
 
   /// Computes all white-neighborhood sizes with one range query per object
   /// over the complete tree (the baseline the build-time variant beats).
-  /// The queries are count-only: each visits the nodes, applies the filters
-  /// and charges node accesses, distance computations and range queries
-  /// exactly as RangeQueryAround(id, radius, kAll, /*pruned=*/false) would,
-  /// but collects no neighbors. For the four built-in metrics the distance
-  /// kernel is inlined (picked by exact dynamic type); any other metric is
-  /// called through DistanceMetric::Distance once per charged computation.
-  /// Chunks of the object range run on `pool` (in order on the calling
-  /// thread for a null or 1-thread pool), each under a private AccessStats
-  /// that is added to the caller's live counters (ThreadStatsScope-aware) in
-  /// chunk order, so counts and stats totals are identical for every
-  /// thread count.
+  /// The queries are count-only: each is the range search of
+  /// RangeQueryAround(id, radius, kAll, /*pruned=*/false) — the same visits,
+  /// filters and charges — with a count in place of the neighbor list. For
+  /// the four built-in metrics the distance kernel is inlined (picked by
+  /// exact dynamic type); any other metric is called through
+  /// DistanceMetric::Distance once per charged computation. Chunks of the
+  /// object range run on `pool` (in order on the calling thread for a null
+  /// or 1-thread pool), each under a private AccessStats that is added to
+  /// `sink` (null: stats()) in chunk order, so counts and stats totals are
+  /// identical for every thread count.
   void ComputeNeighborCountsPostBuild(double radius,
                                       std::vector<uint32_t>* counts,
-                                      ThreadPool* pool = nullptr);
+                                      ThreadPool* pool = nullptr,
+                                      AccessStats* sink = nullptr);
 
   // -- Queries ---------------------------------------------------------
-
-  /// Top-down range query around an arbitrary point.
-  /// With QueryFilter::kWhiteOnly and pruned=true, subtrees containing no
-  /// white objects are skipped (the §5.1 pruning rule).
-  void RangeQuery(const Point& center, double radius, QueryFilter filter,
-                  bool pruned, std::vector<Neighbor>* out) const;
-
-  /// Same, centered at a stored object; the object itself is excluded,
-  /// matching N_r(p_i) in the paper.
-  void RangeQueryAround(ObjectId center, double radius, QueryFilter filter,
-                        bool pruned, std::vector<Neighbor>* out) const;
-
-  /// Degenerate bottom-up query that inspects only the leaf holding
-  /// `center` (one node access): returns the leaf-mates within `radius`.
-  /// Fast-C uses this for approximate neighborhood-count maintenance —
-  /// thanks to M-tree locality, an object's leaf-mates are the candidates
-  /// most likely affected when it is covered.
-  void LeafMatesWithin(ObjectId center, double radius,
-                       std::vector<Neighbor>* out) const;
-
-  struct QueryTrace;  // below
-
-  /// Bottom-up range query (§5): starts at the leaf holding `center` and
-  /// climbs toward the root, searching intersecting sibling subtrees at each
-  /// ancestor. With stop_at_grey=false this returns exactly what the
-  /// top-down query returns. With stop_at_grey (Fast-C), climbing stops at
-  /// the first ancestor containing no white objects, possibly missing
-  /// neighbors in distant leaves — by design (§5.1). A non-null `trace`
-  /// additionally records every color-dependent decision, the grey-stopping
-  /// climb included (see QueryTrace); it never changes the result or the
-  /// charged stats. There is no assume_black flavor: the coverage-greedy
-  /// callers query before recoloring the candidate.
-  void RangeQueryBottomUp(ObjectId center, double radius, QueryFilter filter,
-                          bool pruned, bool stop_at_grey,
-                          std::vector<Neighbor>* out,
-                          QueryTrace* trace = nullptr) const;
-
-  // -- Speculative queries (core/speculation.h) --------------------------
+  //
+  // Accounting: every query (and Distance) charges its node accesses,
+  // distance computations and range queries to its trailing `sink`, or to
+  // stats() when the sink is null. Queries are read-only, so concurrent
+  // callers may share a tree as long as each passes a private sink; a
+  // fan-out adds the sinks to stats() afterwards in a fixed order, which
+  // keeps the totals exactly the serial totals at any thread count.
 
   struct Node;  // opaque outside mtree.cc; trace entries point at live nodes
 
@@ -262,25 +232,59 @@ class MTree {
   /// *because* they were white. During a greedy forward pass colors only
   /// move away from white (and white counters only decrease), so a trace
   /// recorded against an earlier color snapshot stays checkable forever:
-  /// SpeculationValid() compares it against the current state.
+  /// SpeculationValid() compares it against the current state
+  /// (core/speculation.h).
   struct QueryTrace {
     std::vector<const Node*> nodes;  // descended only because white_count > 0
     std::vector<ObjectId> whites;    // distance computed only because white
   };
 
-  /// RangeQueryAround plus a trace of every color-dependent decision. With
-  /// `assume_black`, the query behaves exactly as if `center` had already
-  /// been recolored black (its contribution is subtracted from the white
-  /// counter of each of its ancestors) — mirroring Greedy-DisC, which
-  /// blackens the selected object *before* its neighborhood query. If
-  /// SpeculationValid(trace) still holds later, `out` and the charged
-  /// AccessStats are byte-identical to running the plain query at that
-  /// later moment (with `center` black when assume_black was set).
-  void RangeQueryAroundSpeculative(ObjectId center, double radius,
-                                   QueryFilter filter, bool pruned,
-                                   bool assume_black,
-                                   std::vector<Neighbor>* out,
-                                   QueryTrace* trace) const;
+  /// Top-down range query around an arbitrary point.
+  /// With QueryFilter::kWhiteOnly and pruned=true, subtrees containing no
+  /// white objects are skipped (the §5.1 pruning rule). Also answers
+  /// queries over the partial tree of an insert-time neighbor-count build.
+  void RangeQuery(const Point& center, double radius, QueryFilter filter,
+                  bool pruned, std::vector<Neighbor>* out,
+                  AccessStats* sink = nullptr) const;
+
+  /// Same, centered at a stored object; the object itself is excluded,
+  /// matching N_r(p_i) in the paper. A non-null `trace` additionally records
+  /// every color-dependent decision, and the query then behaves exactly as
+  /// if `center` were black (a white center's contribution is subtracted
+  /// from the white counter of each of its ancestors) — mirroring
+  /// Greedy-DisC, which blackens the selected object before its
+  /// neighborhood query. If SpeculationValid(trace) still holds later, `out`
+  /// and the charged AccessStats are byte-identical to running the untraced
+  /// query at that later moment with `center` black.
+  void RangeQueryAround(ObjectId center, double radius, QueryFilter filter,
+                        bool pruned, std::vector<Neighbor>* out,
+                        QueryTrace* trace = nullptr,
+                        AccessStats* sink = nullptr) const;
+
+  /// Degenerate bottom-up query that inspects only the leaf holding
+  /// `center` (one node access): returns the leaf-mates within `radius`.
+  /// Fast-C uses this for approximate neighborhood-count maintenance —
+  /// thanks to M-tree locality, an object's leaf-mates are the candidates
+  /// most likely affected when it is covered.
+  void LeafMatesWithin(ObjectId center, double radius,
+                       std::vector<Neighbor>* out,
+                       AccessStats* sink = nullptr) const;
+
+  /// Bottom-up range query (§5): starts at the leaf holding `center` and
+  /// climbs toward the root, searching intersecting sibling subtrees at each
+  /// ancestor. With stop_at_grey=false this returns exactly what the
+  /// top-down query returns. With stop_at_grey (Fast-C), climbing stops at
+  /// the first ancestor containing no white objects, possibly missing
+  /// neighbors in distant leaves — by design (§5.1). A non-null `trace`
+  /// additionally records every color-dependent decision, the grey-stopping
+  /// climb included; it never changes the result or the charged stats.
+  /// There is no black-center assumption here: the coverage-greedy callers
+  /// query before recoloring the candidate.
+  void RangeQueryBottomUp(ObjectId center, double radius, QueryFilter filter,
+                          bool pruned, bool stop_at_grey,
+                          std::vector<Neighbor>* out,
+                          QueryTrace* trace = nullptr,
+                          AccessStats* sink = nullptr) const;
 
   /// True while every decision the trace records would be taken the same
   /// way against the current colors: all recorded nodes still hold white
@@ -355,38 +359,12 @@ class MTree {
   const DistanceMetric& metric() const { return metric_; }
   const MTreeOptions& options() const { return options_; }
 
-  /// Distance between two stored objects (counted as a distance computation).
-  double Distance(ObjectId a, ObjectId b) const;
+  /// Distance between two stored objects, charged as one distance
+  /// computation to `sink` (null: stats()).
+  double Distance(ObjectId a, ObjectId b, AccessStats* sink = nullptr) const;
 
   AccessStats& stats() const { return stats_; }
   void ResetStats() const { stats_ = AccessStats{}; }
-
-  /// Adds a batch of externally accounted accesses to the calling thread's
-  /// live counters (ThreadStatsScope-aware, like every per-access
-  /// increment). The speculation layer publishes a committed evaluation's
-  /// privately-sunk cost through this.
-  void ChargeStats(const AccessStats& delta) const { LiveStats() += delta; }
-
-  /// RAII redirect: while alive, every access this *thread* charges against
-  /// this tree lands in `sink` instead of stats(). The enabling primitive
-  /// for parallel read-only query fan-outs (the index-backed
-  /// NeighborhoodGraph, the bulk load, speculative selection): each worker
-  /// queries under its own sink, and the caller sums the sinks into stats()
-  /// afterwards in deterministic order — totals stay exactly the serial
-  /// totals without the counters racing. Scopes nest (restores the previous
-  /// redirect); other threads are unaffected.
-  class ThreadStatsScope {
-   public:
-    ThreadStatsScope(const MTree& tree, AccessStats* sink);
-    ~ThreadStatsScope();
-
-    ThreadStatsScope(const ThreadStatsScope&) = delete;
-    ThreadStatsScope& operator=(const ThreadStatsScope&) = delete;
-
-   private:
-    const MTree* prev_tree_;
-    AccessStats* prev_sink_;
-  };
 
   size_t num_nodes() const { return num_nodes_; }
   size_t num_leaves() const;
@@ -406,41 +384,36 @@ class MTree {
   struct RoutingEntry;
   struct LeafEntry;
   // Speculation bookkeeping threaded through RangeSearchNode: the trace to
-  // fill plus the assume_black ancestor path (mtree.cc).
+  // fill plus the black-center ancestor path (mtree.cc).
   struct SpecState;
 
   Status CheckBuildPreconditions() const;
-  /// The AccessStats the calling thread currently charges: the
-  /// ThreadStatsScope sink when one is active for this tree, else stats_.
-  AccessStats& LiveStats() const;
+  AccessStats* SinkOrStats(AccessStats* sink) const {
+    return sink != nullptr ? sink : &stats_;
+  }
   // (Re)initializes the per-object arrays (leaf map, colors, closest-black
   // distances) for a build over the full dataset.
   void InitObjectState();
   void Insert(ObjectId id);
   void SplitNode(Node* node);
-  // RangeQuery without the built_ precondition, for querying the partial
-  // tree during BuildWithNeighborCounts.
-  void RangeQueryUnchecked(const Point& center, double radius,
-                           QueryFilter filter, bool pruned,
-                           std::vector<Neighbor>* out) const;
-  void RangeSearchNode(const Node* node, const Point& center, double radius,
-                       double dist_center_to_node_pivot, QueryFilter filter,
-                       bool pruned, ObjectId exclude, std::vector<Neighbor>* out,
-                       SpecState* spec = nullptr) const;
-  // The count pass's per-object traversal: the number of objects other
-  // than `exclude` within `radius` of `q` under `node`, with distances from
-  // `dist` and every access charged to `local`.
-  template <typename Dist>
-  uint32_t CountWithin(const Node* node, const Point& q, double radius,
-                       double dist_to_pivot, ObjectId exclude,
-                       const Dist& dist, AccessStats* local) const;
-  /// A child's white counter as the speculative query must see it: the
-  /// actual counter, minus one on the assume_black candidate's ancestor
-  /// path. Equals node->white_count when spec carries no assumption.
+  // The one recursive range search: visits `node`, whose pivot lies at
+  // `dist_to_pivot` from `center` (NaN when unknown), applies the filters,
+  // charges every access to `stats`, measures with `dist(a, b)`, calls
+  // `hit(id, d)` for each reported object other than `exclude` and returns
+  // how many it reported.
+  template <typename Dist, typename Hit>
+  uint32_t RangeSearchNode(const Node* node, const Point& center, double radius,
+                           double dist_to_pivot, QueryFilter filter,
+                           bool pruned, ObjectId exclude, const Dist& dist,
+                           const Hit& hit, SpecState* spec,
+                           AccessStats* stats) const;
+  /// A child's white counter as the traced query must see it: the actual
+  /// counter, minus one on a white center's ancestor path. Equals
+  /// node->white_count when spec carries no black path.
   uint32_t EffectiveWhiteCount(const Node* node, const SpecState* spec) const;
   void AdjustWhiteCount(Node* leaf, int delta);
   uint32_t RecomputeWhiteCounts(Node* node);
-  double DistanceToPoint(const Point& q, ObjectId b) const;
+  double DistanceToPoint(const Point& q, ObjectId b, AccessStats* stats) const;
   uint64_t PointQueryAccesses(const Point& q) const;
   Status ValidateNode(const Node* node, size_t depth, size_t leaf_depth,
                       size_t* node_count) const;

@@ -137,7 +137,7 @@ class NeighborBackend {
   /// N_r(center): ids at distance <= radius from the stored object `center`,
   /// excluding center itself, sorted ascending. Accounting goes to `sink`
   /// when given, else to stats(). Thread-safe; concurrent callers must pass
-  /// private sinks (the same discipline as MTree::ThreadStatsScope).
+  /// private sinks (the convention of every MTree query, mtree/mtree.h).
   void RangeQueryAround(ObjectId center, double radius,
                         std::vector<ObjectId>* out,
                         AccessStats* sink = nullptr) const;

@@ -20,14 +20,13 @@ void ExactMTreeBackend::DoRangeQuery(const Point& center, ObjectId exclude,
                                      double radius,
                                      std::vector<ObjectId>* out,
                                      AccessStats* sink) const {
-  MTree::ThreadStatsScope scope(*tree_, sink);
   std::vector<Neighbor> found;
   if (exclude != kInvalidObject) {
     tree_->RangeQueryAround(exclude, radius, QueryFilter::kAll,
-                            /*pruned=*/false, &found);
+                            /*pruned=*/false, &found, /*trace=*/nullptr, sink);
   } else {
     tree_->RangeQuery(center, radius, QueryFilter::kAll, /*pruned=*/false,
-                      &found);
+                      &found, sink);
   }
   out->reserve(out->size() + found.size());
   for (const Neighbor& nb : found) out->push_back(nb.id);

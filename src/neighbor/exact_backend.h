@@ -3,8 +3,8 @@
 //
 // Results are exactly N_r(p) (the oracle every approximate backend is
 // measured against); accounting is the tree's own node-access counting,
-// redirected per query through MTree::ThreadStatsScope so concurrent
-// batched builds charge private sinks.
+// charged to each query's sink, so concurrent batched builds charge private
+// sinks.
 
 #ifndef DISC_NEIGHBOR_EXACT_BACKEND_H_
 #define DISC_NEIGHBOR_EXACT_BACKEND_H_

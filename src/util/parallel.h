@@ -14,6 +14,9 @@
 //     results in ascending chunk order on the calling thread
 //     (ParallelOrderedReduce), so order-sensitive merges (floating-point
 //     sums, list appends) are byte-identical to the serial loop.
+//   * Work counters are results too: a chunk passes its own AccessStats
+//     to every M-tree call as the trailing sink argument (mtree/mtree.h),
+//     and the caller adds the sinks to the tree's stats() in chunk order.
 //
 // ParallelFor and ParallelOrderedReduce run the chunks in ascending order on
 // the calling thread for a null or 1-thread pool (and for a single chunk),

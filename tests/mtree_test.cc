@@ -11,6 +11,7 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "data/generators.h"
@@ -506,8 +507,7 @@ TEST(MTreeCountsTest, BuildTimeCountsCheaperThanPostBuild) {
 // The count pass's contract, for every metric kernel, both build
 // strategies, two dimensions and three pool shapes: counts[id] is the size
 // of RangeQueryAround(id), and the pass charges exactly what those
-// per-object queries charge — to stats(), or to the sink of an active
-// ThreadStatsScope.
+// per-object queries charge — to stats(), or to an explicit sink.
 using CountsParam = std::tuple<MetricKind, BuildStrategy, size_t, size_t>;
 
 class MTreeCountsContractTest : public ::testing::TestWithParam<CountsParam> {
@@ -583,10 +583,7 @@ TEST_P(MTreeCountsContractTest, CountsAndStatsEqualPerObjectQueries) {
 
   tree.ResetStats();
   AccessStats sink;
-  {
-    MTree::ThreadStatsScope scope(tree, &sink);
-    tree.ComputeNeighborCountsPostBuild(radius, &counts, pool.get());
-  }
+  tree.ComputeNeighborCountsPostBuild(radius, &counts, pool.get(), &sink);
   EXPECT_EQ(counts, expected);
   EXPECT_EQ(sink, query_stats);
   EXPECT_EQ(tree.stats(), AccessStats{});
@@ -644,6 +641,149 @@ TEST(MTreeCountsTest, WrapperMetricKeepsTheVirtualCall) {
   EXPECT_EQ(tree.stats(), plain_tree.stats());
   EXPECT_EQ(counting.calls() - calls_before,
             tree.stats().distance_computations);
+}
+
+// The accounting convention shared by every query, Distance and the count
+// pass: a call with a sink charges the sink exactly what the same call
+// with a null sink charges stats(), and leaves stats() untouched.
+std::vector<std::pair<ObjectId, double>> Flatten(
+    const std::vector<Neighbor>& neighbors) {
+  std::vector<std::pair<ObjectId, double>> flat;
+  flat.reserve(neighbors.size());
+  for (const Neighbor& nb : neighbors) flat.emplace_back(nb.id, nb.dist);
+  return flat;
+}
+
+// A tree whose first half in leaf order is grey, so pruning and the
+// grey-stopping climb both have subtrees to skip.
+class MTreeSinkTest : public ::testing::Test {
+ protected:
+  MTreeSinkTest() : dataset_(MakeClusteredDataset(800, 2, 29)) {}
+
+  void SetUp() override {
+    MTreeOptions options;
+    options.node_capacity = 12;
+    tree_ = std::make_unique<MTree>(dataset_, metric_, options);
+    ASSERT_TRUE(tree_->Build().ok());
+    order_ = tree_->LeafOrder();
+    for (size_t i = 0; i < order_.size() / 2; ++i) {
+      tree_->SetColor(order_[i], Color::kGrey);
+    }
+  }
+
+  // Runs `call(sink)` with a null sink, then with a private one.
+  template <typename Call>
+  void ExpectSameCharge(const std::string& what, const Call& call) {
+    tree_->ResetStats();
+    const auto plain = call(nullptr);
+    const AccessStats charged = tree_->stats();
+    EXPECT_GT(charged.distance_computations, 0u) << what;
+    tree_->ResetStats();
+    AccessStats sink;
+    const auto sunk = call(&sink);
+    EXPECT_EQ(sunk, plain) << what;
+    EXPECT_EQ(sink, charged) << what;
+    EXPECT_EQ(tree_->stats(), AccessStats{}) << what;
+  }
+
+  const double radius_ = 0.08;
+  EuclideanMetric metric_;
+  Dataset dataset_;
+  std::unique_ptr<MTree> tree_;
+  std::vector<ObjectId> order_;
+};
+
+TEST_F(MTreeSinkTest, SinkCallChargesWhatTheNullSinkCallCharges) {
+  const ObjectId white = order_[order_.size() * 3 / 4];
+  const ObjectId grey = order_[order_.size() / 4];
+  MTree& tree = *tree_;
+  for (const ObjectId center : {white, grey}) {
+    const std::string at = " at " + std::to_string(center);
+    ExpectSameCharge("RangeQuery" + at, [&](AccessStats* sink) {
+      std::vector<Neighbor> out;
+      tree.RangeQuery(dataset_.point(center), radius_, QueryFilter::kWhiteOnly,
+                      /*pruned=*/true, &out, sink);
+      return Flatten(out);
+    });
+    ExpectSameCharge("RangeQueryAround" + at, [&](AccessStats* sink) {
+      std::vector<Neighbor> out;
+      tree.RangeQueryAround(center, radius_, QueryFilter::kWhiteOnly,
+                            /*pruned=*/true, &out, /*trace=*/nullptr, sink);
+      return Flatten(out);
+    });
+    ExpectSameCharge("traced RangeQueryAround" + at, [&](AccessStats* sink) {
+      std::vector<Neighbor> out;
+      MTree::QueryTrace trace;
+      tree.RangeQueryAround(center, radius_, QueryFilter::kWhiteOnly,
+                            /*pruned=*/true, &out, &trace, sink);
+      return std::make_tuple(Flatten(out), trace.nodes, trace.whites);
+    });
+    for (const bool stop_at_grey : {false, true}) {
+      const char* climb = stop_at_grey ? "stopping climb" : "full climb";
+      ExpectSameCharge(climb + at, [&](AccessStats* sink) {
+        std::vector<Neighbor> out;
+        MTree::QueryTrace trace;
+        tree.RangeQueryBottomUp(center, radius_, QueryFilter::kWhiteOnly,
+                                /*pruned=*/true, stop_at_grey, &out, &trace,
+                                sink);
+        return std::make_tuple(Flatten(out), trace.nodes, trace.whites);
+      });
+    }
+    ExpectSameCharge("LeafMatesWithin" + at, [&](AccessStats* sink) {
+      std::vector<Neighbor> out;
+      tree.LeafMatesWithin(center, radius_, &out, sink);
+      return Flatten(out);
+    });
+    ExpectSameCharge("Distance" + at, [&](AccessStats* sink) {
+      return tree.Distance(center, order_.front(), sink);
+    });
+  }
+  ExpectSameCharge("ComputeNeighborCountsPostBuild", [&](AccessStats* sink) {
+    std::vector<uint32_t> counts;
+    tree.ComputeNeighborCountsPostBuild(radius_, &counts, /*pool=*/nullptr,
+                                        sink);
+    return counts;
+  });
+}
+
+// A traced query assumes its center black: on a white center it returns
+// what the untraced query returns once the center is blackened, at the
+// same cost. The center is made its leaf's only white object, so the
+// assumption decides whether that leaf is pruned.
+TEST_F(MTreeSinkTest, TracedQueryAssumesItsCenterBlack) {
+  MTree& tree = *tree_;
+  const ObjectId center = order_[order_.size() * 3 / 4];
+  std::vector<Neighbor> leaf_mates;
+  tree.LeafMatesWithin(center, std::numeric_limits<double>::infinity(),
+                       &leaf_mates);
+  for (const Neighbor& nb : leaf_mates) tree.SetColor(nb.id, Color::kGrey);
+  ASSERT_EQ(tree.color(center), Color::kWhite);
+
+  tree.ResetStats();
+  std::vector<Neighbor> white_plain;
+  tree.RangeQueryAround(center, radius_, QueryFilter::kWhiteOnly,
+                        /*pruned=*/true, &white_plain);
+  const AccessStats white_stats = tree.stats();
+
+  tree.ResetStats();
+  std::vector<Neighbor> traced;
+  MTree::QueryTrace trace;
+  tree.RangeQueryAround(center, radius_, QueryFilter::kWhiteOnly,
+                        /*pruned=*/true, &traced, &trace);
+  const AccessStats traced_stats = tree.stats();
+
+  tree.SetColor(center, Color::kBlack);
+  EXPECT_TRUE(tree.SpeculationValid(trace));
+  tree.ResetStats();
+  std::vector<Neighbor> black_plain;
+  tree.RangeQueryAround(center, radius_, QueryFilter::kWhiteOnly,
+                        /*pruned=*/true, &black_plain);
+  EXPECT_EQ(Flatten(traced), Flatten(black_plain));
+  EXPECT_EQ(traced_stats, tree.stats());
+  // The assumption is visible: the white-center query still read the
+  // center's leaf.
+  EXPECT_GT(white_stats.node_accesses, traced_stats.node_accesses);
+  EXPECT_EQ(Flatten(white_plain), Flatten(black_plain));
 }
 
 }  // namespace

@@ -81,9 +81,13 @@ void ExerciseLine(const std::string& line, size_t iteration) {
       break;
     case Verb::kDiversify:
       (void)DecodeDiversify(*request);
+      (void)DecodeDiversifyAdapt(*request);
       break;
     case Verb::kZoom:
       (void)DecodeZoom(*request);
+      break;
+    case Verb::kBatch:
+      (void)DecodeBatchSize(*request);
       break;
     case Verb::kStats:
     case Verb::kClose:
@@ -116,6 +120,8 @@ TEST(ProtocolFuzzTest, MutatedValidCommandsNeverCrashTheParser) {
       "ZOOM to=0.025 greedy=true variant=greedy-b center=17 "
       "distances=exact quality=true",
       "ZOOM to=0.1 variant=arbitrary distances=auto",
+      "DIVERSIFY r=0.05 adapt=true",
+      "BATCH n=3",
       "STATS",
       "CLOSE",
   };

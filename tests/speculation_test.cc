@@ -127,12 +127,12 @@ INSTANTIATE_TEST_SUITE_P(
     GreedyFamilyAllWorkloads, SpeculationDeterminismTest,
     ::testing::Combine(::testing::ValuesIn(kGreedyFamily),
                        ::testing::Range(0, kNumWorkloads)),
-    [](const ::testing::TestParamInfo<std::tuple<Algorithm, int>>& info) {
-      std::string name = AlgorithmToString(std::get<0>(info.param));
+    [](const ::testing::TestParamInfo<std::tuple<Algorithm, int>>& param) {
+      std::string name = AlgorithmToString(std::get<0>(param.param));
       for (char& c : name) {
         if (c == '-') c = '_';
       }
-      return name + "_w" + std::to_string(std::get<1>(info.param));
+      return name + "_w" + std::to_string(std::get<1>(param.param));
     });
 
 // Adversarial widths: 0 (auto), 1 (machinery disabled), a mid width, the
