@@ -11,11 +11,14 @@
 //     gated — they are memory/allocator-bound and noisier on CI runners).
 //
 // The benchmarks cover G_P,r builds through the grid backend (its scan and
-// grid builders) and the exact M-tree backend, plus the engine's
-// neighborhood-count pass — each one ordered reduction on util/parallel.h.
+// grid builders) and the exact M-tree backend, the engine's
+// neighborhood-count pass, and the general range-query path — each one
+// ordered reduction on util/parallel.h.
 // Wall times land in google-benchmark's real_time; the deterministic
 // counters double as the cross-leg identity proof.
 
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <utility>
@@ -167,6 +170,77 @@ void BM_Counts(benchmark::State& state, size_t n) {
   AddParallelRow("counts", n, ms, 0, stats.node_accesses);
 }
 
+// The general query path that greedy, zoom and the exact backend run:
+// RangeQueryAround around every object, once unfiltered and once pruned
+// white-only with the leaf-order first half greyed, so both the plain and
+// the white-gated leaf scans are timed. Chunks count under private sinks
+// summed in chunk order, so every counter is identical at any thread count.
+// The table's `edges` column holds the number of reported neighbors; an
+// order-sensitive checksum over their ids and distance bits pins the
+// neighbor lists themselves.
+void BM_Queries(benchmark::State& state, size_t n) {
+  const Dataset& dataset = Clustered(n, 2);
+  MTree* tree = CachedTree(dataset, Euclidean());
+  const double radius = 0.03;
+  const std::vector<ObjectId> order = tree->LeafOrder();
+  for (size_t i = 0; i < order.size() / 2; ++i) {
+    tree->SetColor(order[i], Color::kGrey);
+  }
+  struct Tally {
+    AccessStats stats;
+    uint64_t neighbors = 0;
+    uint64_t checksum = 0;
+  };
+  double ms = 0.0;
+  Tally total;
+  for (auto _ : state) {
+    total = Tally{};
+    Stopwatch watch;
+    for (const bool white_only : {false, true}) {
+      ParallelOrderedReduce<Tally>(
+          BenchPool(), 0, n, RecommendedGrain(n, BenchPool()),
+          [&](size_t chunk_begin, size_t chunk_end) {
+            Tally local;
+            std::vector<Neighbor> found;
+            for (size_t id = chunk_begin; id < chunk_end; ++id) {
+              found.clear();
+              tree->RangeQueryAround(
+                  static_cast<ObjectId>(id), radius,
+                  white_only ? QueryFilter::kWhiteOnly : QueryFilter::kAll,
+                  /*pruned=*/white_only, &found, /*trace=*/nullptr,
+                  &local.stats);
+              local.neighbors += found.size();
+              for (size_t k = 0; k < found.size(); ++k) {
+                local.checksum +=
+                    (k + 1) * ((uint64_t{found[k].id} + 1) ^
+                               std::bit_cast<uint64_t>(found[k].dist));
+              }
+            }
+            return local;
+          },
+          [&](Tally& local) {
+            total.stats += local.stats;
+            total.neighbors += local.neighbors;
+            total.checksum += local.checksum;
+          });
+    }
+    ms = watch.ElapsedMillis();
+  }
+  tree->ResetColors();
+  state.counters["neighbors"] = static_cast<double>(total.neighbors);
+  // Top 52 bits: exactly representable in the double-valued counter.
+  state.counters["neighbors_checksum"] =
+      static_cast<double>(total.checksum >> 12);
+  state.counters["node_accesses"] =
+      static_cast<double>(total.stats.node_accesses);
+  state.counters["distance_computations"] =
+      static_cast<double>(total.stats.distance_computations);
+  state.counters["range_queries"] =
+      static_cast<double>(total.stats.range_queries);
+  AddParallelRow("queries", n, ms, total.neighbors,
+                 total.stats.node_accesses);
+}
+
 [[maybe_unused]] const bool registered = [] {
   const size_t kSizes[] = {10000, 20000};
   for (size_t n : kSizes) {
@@ -175,7 +249,8 @@ void BM_Counts(benchmark::State& state, size_t n) {
               "GraphBrute", BM_GraphBrute},
           {"GraphGrid", BM_GraphGrid},
           {"GraphIndex", BM_GraphIndex},
-          {"Counts", BM_Counts}}) {
+          {"Counts", BM_Counts},
+          {"Queries", BM_Queries}}) {
       std::string bench_name =
           "Parallel/" + std::string(name) + "/n=" + std::to_string(n);
       auto* fn_copy = fn;

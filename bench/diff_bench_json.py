@@ -43,6 +43,11 @@ Candidate-side absolute bounds (usable with or without --baseline; a
       no metric is a usage error. How CI pins the serve bench's
       requests/sec floor, p99 ceiling, and mismatches == 0.
 
+Candidate metrics absent from the baseline are listed as UNGATED: nothing
+compares them, so a new bench row is visible until its values are recorded
+in the baseline. The listing is informational and never changes the exit
+code.
+
 Exit codes: 0 ok, 1 regression or missing benchmark, 2 usage/input error.
 
 Usage:
@@ -333,6 +338,9 @@ def main():
         elif delta < -args.threshold:
             improvements.append((key, base, new, delta))
 
+    ungated = [] if args.baseline is None else \
+        sorted(key for key in candidate if key not in baseline)
+
     print(f"compared {compared} metrics "
           f"(threshold +{args.threshold * 100:.0f}%)")
     for key, base, new, delta in improvements:
@@ -345,6 +353,8 @@ def main():
         print(f"  REGRESSED: {key}: {base:g} -> {new:g} ({delta * 100:+.1f}%)")
     for path, key in unstable:
         print(f"  UNSTABLE : {key} differs between repetitions in {path}")
+    for key in ungated:
+        print(f"  UNGATED  : {key} (not in the baseline, so not compared)")
 
     speedup_failures, speedup_matched = [], 0
     if args.require_speedup is not None:

@@ -50,25 +50,28 @@ class DistanceMetric {
   std::string name() const { return MetricKindToString(kind()); }
 };
 
-// Each built-in metric's loop is its static Kernel(), the one definition
-// both the virtual Distance() (metric.cc) and callers that devirtualize by
-// exact dynamic type (the M-tree's neighbor-count pass) execute, so the two
-// paths return bit-identical distances. The build compiles with
-// -ffp-contract=off: no FMA contraction may change the accumulation.
+// Each built-in metric's loop is its static Kernel(a, b, dim) over raw
+// coordinate arrays — the one loop per metric. The Point form and the
+// virtual Distance() (metric.cc) forward to it, and the M-tree's range
+// searches call it directly on their packed node coordinates once they have
+// picked the metric by exact dynamic type, so every path returns
+// bit-identical distances. The build compiles with -ffp-contract=off: no FMA
+// contraction may change the accumulation.
 
 /// L2 distance.
 class EuclideanMetric final : public DistanceMetric {
  public:
-  static double Kernel(const Point& a, const Point& b) {
-    assert(a.dim() == b.dim());
-    const double* pa = a.data();
-    const double* pb = b.data();
+  static double Kernel(const double* pa, const double* pb, size_t dim) {
     double sum = 0.0;
-    for (size_t i = 0; i < a.dim(); ++i) {
+    for (size_t i = 0; i < dim; ++i) {
       double d = pa[i] - pb[i];
       sum += d * d;
     }
     return std::sqrt(sum);
+  }
+  static double Kernel(const Point& a, const Point& b) {
+    assert(a.dim() == b.dim());
+    return Kernel(a.data(), b.data(), a.dim());
   }
   double Distance(const Point& a, const Point& b) const override;
   MetricKind kind() const override { return MetricKind::kEuclidean; }
@@ -77,15 +80,16 @@ class EuclideanMetric final : public DistanceMetric {
 /// L1 distance.
 class ManhattanMetric final : public DistanceMetric {
  public:
-  static double Kernel(const Point& a, const Point& b) {
-    assert(a.dim() == b.dim());
-    const double* pa = a.data();
-    const double* pb = b.data();
+  static double Kernel(const double* pa, const double* pb, size_t dim) {
     double sum = 0.0;
-    for (size_t i = 0; i < a.dim(); ++i) {
+    for (size_t i = 0; i < dim; ++i) {
       sum += std::fabs(pa[i] - pb[i]);
     }
     return sum;
+  }
+  static double Kernel(const Point& a, const Point& b) {
+    assert(a.dim() == b.dim());
+    return Kernel(a.data(), b.data(), a.dim());
   }
   double Distance(const Point& a, const Point& b) const override;
   MetricKind kind() const override { return MetricKind::kManhattan; }
@@ -94,15 +98,16 @@ class ManhattanMetric final : public DistanceMetric {
 /// L-infinity distance.
 class ChebyshevMetric final : public DistanceMetric {
  public:
-  static double Kernel(const Point& a, const Point& b) {
-    assert(a.dim() == b.dim());
-    const double* pa = a.data();
-    const double* pb = b.data();
+  static double Kernel(const double* pa, const double* pb, size_t dim) {
     double best = 0.0;
-    for (size_t i = 0; i < a.dim(); ++i) {
+    for (size_t i = 0; i < dim; ++i) {
       best = std::max(best, std::fabs(pa[i] - pb[i]));
     }
     return best;
+  }
+  static double Kernel(const Point& a, const Point& b) {
+    assert(a.dim() == b.dim());
+    return Kernel(a.data(), b.data(), a.dim());
   }
   double Distance(const Point& a, const Point& b) const override;
   MetricKind kind() const override { return MetricKind::kChebyshev; }
@@ -113,15 +118,16 @@ class ChebyshevMetric final : public DistanceMetric {
 /// categorical datasets.
 class HammingMetric final : public DistanceMetric {
  public:
-  static double Kernel(const Point& a, const Point& b) {
-    assert(a.dim() == b.dim());
-    const double* pa = a.data();
-    const double* pb = b.data();
+  static double Kernel(const double* pa, const double* pb, size_t dim) {
     double count = 0.0;
-    for (size_t i = 0; i < a.dim(); ++i) {
+    for (size_t i = 0; i < dim; ++i) {
       if (pa[i] != pb[i]) count += 1.0;
     }
     return count;
+  }
+  static double Kernel(const Point& a, const Point& b) {
+    assert(a.dim() == b.dim());
+    return Kernel(a.data(), b.data(), a.dim());
   }
   double Distance(const Point& a, const Point& b) const override;
   MetricKind kind() const override { return MetricKind::kHamming; }

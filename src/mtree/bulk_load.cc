@@ -181,8 +181,10 @@ Status MTree::BulkLoad(ThreadPool* pool) {
     num_nodes_ = 1;
     ++stats_.node_accesses;
     root_->objects.reserve(n);
+    root_->coords.reserve(n * dataset_.dim());
     for (ObjectId id = 0; id < n; ++id) {
       root_->objects.push_back(LeafEntry{id, 0.0});
+      root_->AppendCoords(dataset_.point(id));
       leaf_of_[id] = root_.get();
     }
     root_->white_count = static_cast<uint32_t>(n);
@@ -217,8 +219,10 @@ Status MTree::BulkLoad(ThreadPool* pool) {
           leaf->pivot = cluster.seed;
           double radius = 0.0;
           leaf->objects.reserve(cluster.members.size());
+          leaf->coords.reserve(cluster.members.size() * dataset_.dim());
           for (const Member& m : cluster.members) {
             leaf->objects.push_back(LeafEntry{m.id, m.dist_to_seed});
+            leaf->AppendCoords(dataset_.point(m.id));
             leaf_of_[m.id] = leaf.get();
             radius = std::max(radius, m.dist_to_seed);
           }
@@ -288,6 +292,7 @@ Status MTree::BulkLoad(ThreadPool* pool) {
         radius = std::max(radius, m.dist_to_seed + child->radius);
         parent->white_count += child->white_count;
         child->parent = parent.get();
+        parent->AppendCoords(dataset_.point(child->pivot));
         parent->children.push_back(RoutingEntry{
             child->pivot, child->radius, m.dist_to_seed, std::move(child)});
       }
@@ -305,6 +310,7 @@ Status MTree::BulkLoad(ThreadPool* pool) {
   for (std::unique_ptr<Node>& child : level) {
     root_->white_count += child->white_count;
     child->parent = root_.get();
+    root_->AppendCoords(dataset_.point(child->pivot));
     root_->children.push_back(
         RoutingEntry{child->pivot, child->radius, 0.0, std::move(child)});
   }

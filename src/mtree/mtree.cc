@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -99,36 +100,94 @@ Status MTree::BuildWithNeighborCounts(double radius,
 
 namespace {
 
-// The distance a range search evaluates. VirtualDistance is the metric's
-// virtual call, so wrappers (call counters, caches) see each evaluation;
-// the queries always use it, and so does the count pass for any metric but
-// the four built-in ones, whose loop KernelDistance inlines there.
+// The distance a range search evaluates, from the query center to the
+// entry at `coords` (a slice of a node's packed block) whose object is `id`.
+// KernelDistance runs a built-in metric's loop on the packed coordinates;
+// VirtualDistance makes the metric's virtual call on the dataset's Point,
+// so wrappers (call counters, caches) see each evaluation.
+// A nonzero kDim fixes the dimension at compile time, so the kernel's loop
+// unrolls; the loop and its operation order are the same either way.
+template <typename Metric, size_t kDim>
+struct KernelDistance {
+  size_t dim;
+  double operator()(const Point& center, const double* coords,
+                    ObjectId) const {
+    return Metric::Kernel(center.data(), coords, kDim != 0 ? kDim : dim);
+  }
+};
+
 struct VirtualDistance {
   const DistanceMetric& metric;
-  double operator()(const Point& a, const Point& b) const {
-    return metric.Distance(a, b);
+  const Dataset& dataset;
+  double operator()(const Point& center, const double*, ObjectId id) const {
+    return metric.Distance(center, dataset.point(id));
   }
 };
 
-template <typename Metric>
-struct KernelDistance {
-  double operator()(const Point& a, const Point& b) const {
-    return Metric::Kernel(a, b);
+// Calls `fn(dist)` with the distance every range search of `metric` uses:
+// a built-in metric's kernel, picked by exact dynamic type (the built-in
+// metrics are final) so the search inlines it — with the dimension fixed
+// for the paper's 2-D workloads — or the virtual call for any other metric.
+template <typename Fn>
+void WithRangeDistance(const DistanceMetric& metric, const Dataset& dataset,
+                       Fn&& fn) {
+  const std::type_info& type = typeid(metric);
+  const size_t dim = dataset.dim();
+  auto kernel = [&]<typename Metric>() {
+    if (dim == 2) {
+      fn(KernelDistance<Metric, 2>{dim});
+    } else {
+      fn(KernelDistance<Metric, 0>{dim});
+    }
+  };
+  if (type == typeid(EuclideanMetric)) {
+    kernel.template operator()<EuclideanMetric>();
+  } else if (type == typeid(ManhattanMetric)) {
+    kernel.template operator()<ManhattanMetric>();
+  } else if (type == typeid(ChebyshevMetric)) {
+    kernel.template operator()<ChebyshevMetric>();
+  } else if (type == typeid(HammingMetric)) {
+    kernel.template operator()<HammingMetric>();
+  } else {
+    fn(VirtualDistance{metric, dataset});
   }
-};
+}
 
-// What a range search does with each object it reports, besides counting
-// it: the queries append it, the count pass needs only the count.
+// What a range search does with a block of evaluated leaf entries — object
+// ids and their distances, in entry order — returning how many lie in the
+// ball: the queries append those, the count pass needs only their number.
+// Neither branches on the distances.
 struct AppendNeighbor {
   std::vector<Neighbor>* out;
-  void operator()(ObjectId id, double d) const {
-    out->push_back(Neighbor{id, d});
+  uint32_t operator()(const ObjectId* objects, const double* dists,
+                      size_t count, double radius) const {
+    // Write every candidate, advance past the in-ball ones, then drop the
+    // tail.
+    const size_t base = out->size();
+    out->resize(base + count);
+    Neighbor* const dst = out->data() + base;
+    size_t in_ball = 0;
+    for (size_t i = 0; i < count; ++i) {
+      dst[in_ball] = Neighbor{objects[i], dists[i]};
+      in_ball += dists[i] <= radius;
+    }
+    out->resize(base + in_ball);
+    return static_cast<uint32_t>(in_ball);
   }
 };
 
 struct CountOnly {
-  void operator()(ObjectId, double) const {}
+  uint32_t operator()(const ObjectId*, const double* dists, size_t count,
+                      double radius) const {
+    uint32_t in_ball = 0;
+    for (size_t i = 0; i < count; ++i) in_ball += dists[i] <= radius;
+    return in_ball;
+  }
 };
+
+// Leaf entries are filtered, charged and evaluated in blocks of this many,
+// so the survivor buffers live on the stack at any node capacity.
+constexpr size_t kLeafScanBlock = 64;
 
 }  // namespace
 
@@ -145,7 +204,7 @@ void MTree::ComputeNeighborCountsPostBuild(double radius,
   // of `counts`; the chunk sinks are added to `target` in chunk order. A
   // null or 1-thread pool runs the chunks in order on the calling thread,
   // so every thread count gives the same counts and totals.
-  auto pass = [&](const auto& dist) {
+  WithRangeDistance(metric_, dataset_, [&](const auto& dist) {
     ParallelOrderedReduce<AccessStats>(
         pool, 0, n, grain,
         [&](size_t chunk_begin, size_t chunk_end) {
@@ -162,21 +221,7 @@ void MTree::ComputeNeighborCountsPostBuild(double radius,
           return local;
         },
         [&](AccessStats& local) { *target += local; });
-  };
-  // The kernel is picked once per pass by exact dynamic type (the built-in
-  // metrics are final), so RangeSearchNode inlines it.
-  const std::type_info& type = typeid(metric_);
-  if (type == typeid(EuclideanMetric)) {
-    pass(KernelDistance<EuclideanMetric>{});
-  } else if (type == typeid(ManhattanMetric)) {
-    pass(KernelDistance<ManhattanMetric>{});
-  } else if (type == typeid(ChebyshevMetric)) {
-    pass(KernelDistance<ChebyshevMetric>{});
-  } else if (type == typeid(HammingMetric)) {
-    pass(KernelDistance<HammingMetric>{});
-  } else {
-    pass(VirtualDistance{metric_});
-  }
+  });
 }
 
 Status MTree::CheckBuildPreconditions() const {
@@ -253,6 +298,7 @@ void MTree::Insert(ObjectId id) {
                            ? 0.0
                            : DistanceToPoint(p, node->pivot, &stats_);
   node->objects.push_back(LeafEntry{id, parent_dist});
+  node->AppendCoords(p);
   leaf_of_[id] = node;
   AdjustWhiteCount(node, +1);
 
@@ -280,10 +326,12 @@ void MTree::RangeQuery(const Point& center, double radius, QueryFilter filter,
   assert(root_ != nullptr);
   AccessStats* const stats = SinkOrStats(sink);
   ++stats->range_queries;
-  RangeSearchNode(root_.get(), center, radius,
-                  std::numeric_limits<double>::quiet_NaN(), filter, pruned,
-                  kInvalidObject, VirtualDistance{metric_}, AppendNeighbor{out},
-                  /*spec=*/nullptr, stats);
+  WithRangeDistance(metric_, dataset_, [&](const auto& dist) {
+    RangeSearchNode(root_.get(), center, radius,
+                    std::numeric_limits<double>::quiet_NaN(), filter, pruned,
+                    kInvalidObject, dist, AppendNeighbor{out},
+                    /*spec=*/nullptr, stats);
+  });
 }
 
 // Speculation bookkeeping for traced queries: the trace being recorded plus
@@ -309,10 +357,12 @@ void MTree::RangeQueryAround(ObjectId center, double radius,
       spec.black_path.push_back(n);
     }
   }
-  RangeSearchNode(root_.get(), dataset_.point(center), radius,
-                  std::numeric_limits<double>::quiet_NaN(), filter, pruned,
-                  center, VirtualDistance{metric_}, AppendNeighbor{out},
-                  trace == nullptr ? nullptr : &spec, stats);
+  WithRangeDistance(metric_, dataset_, [&](const auto& dist) {
+    RangeSearchNode(root_.get(), dataset_.point(center), radius,
+                    std::numeric_limits<double>::quiet_NaN(), filter, pruned,
+                    center, dist, AppendNeighbor{out},
+                    trace == nullptr ? nullptr : &spec, stats);
+  });
 }
 
 uint32_t MTree::EffectiveWhiteCount(const Node* node,
@@ -335,32 +385,52 @@ uint32_t MTree::RangeSearchNode(const Node* node, const Point& center,
                                 AccessStats* stats) const {
   ++stats->node_accesses;
   const bool have_parent_dist = !std::isnan(dist_to_pivot);
+  const size_t dim = dataset_.dim();
+  assert(center.dim() == dim);
+  const double* const coords = node->coords.data();
   uint32_t hits = 0;
   if (node->is_leaf) {
+    // Filter, charge, evaluate: each block's entries that pass the exclude,
+    // white and parent-distance filters are compacted into `survivors`
+    // (entry indices) and `objects` without a data-dependent branch, then
+    // exactly those are charged and measured, in entry order.
     const bool white_gated = filter == QueryFilter::kWhiteOnly;
-    for (const LeafEntry& entry : node->objects) {
-      if (entry.object == exclude) continue;
-      if (white_gated && colors_[entry.object] != Color::kWhite) continue;
-      // Triangle-inequality shortcut via the precomputed parent distance.
-      // Objects it skips never cost a distance computation whatever their
-      // color, so only objects surviving it go into the trace.
-      if (have_parent_dist &&
-          std::fabs(dist_to_pivot - entry.parent_dist) > radius) {
-        continue;
+    const LeafEntry* const entries = node->objects.data();
+    const size_t count = node->objects.size();
+    uint32_t survivors[kLeafScanBlock];
+    ObjectId objects[kLeafScanBlock];
+    double dists[kLeafScanBlock];
+    for (size_t begin = 0; begin < count; begin += kLeafScanBlock) {
+      const size_t end = std::min(count, begin + kLeafScanBlock);
+      size_t kept = 0;
+      for (size_t k = begin; k < end; ++k) {
+        const LeafEntry& entry = entries[k];
+        bool keep = entry.object != exclude;
+        if (white_gated) keep &= colors_[entry.object] == Color::kWhite;
+        // Triangle-inequality shortcut via the precomputed parent distance.
+        // Objects it skips never cost a distance computation whatever their
+        // color, so only objects surviving it go into the trace.
+        if (have_parent_dist) {
+          keep &= !(std::fabs(dist_to_pivot - entry.parent_dist) > radius);
+        }
+        survivors[kept] = static_cast<uint32_t>(k);
+        objects[kept] = entry.object;
+        kept += keep;
       }
+      stats->distance_computations += kept;
       if (white_gated && spec != nullptr) {
-        spec->trace->whites.push_back(entry.object);
+        spec->trace->whites.insert(spec->trace->whites.end(), objects,
+                                   objects + kept);
       }
-      ++stats->distance_computations;
-      const double d = dist(center, dataset_.point(entry.object));
-      if (d <= radius) {
-        hit(entry.object, d);
-        ++hits;
+      for (size_t i = 0; i < kept; ++i) {
+        dists[i] = dist(center, coords + survivors[i] * dim, objects[i]);
       }
+      hits += hit(objects, dists, kept, radius);
     }
     return hits;
   }
-  for (const RoutingEntry& entry : node->children) {
+  for (size_t k = 0; k < node->children.size(); ++k) {
+    const RoutingEntry& entry = node->children[k];
     bool white_gated = false;
     if (pruned) {
       const uint32_t wc = spec == nullptr
@@ -381,7 +451,7 @@ uint32_t MTree::RangeSearchNode(const Node* node, const Point& center,
       spec->trace->nodes.push_back(entry.child.get());
     }
     ++stats->distance_computations;
-    const double d = dist(center, dataset_.point(entry.pivot));
+    const double d = dist(center, coords + k * dim, entry.pivot);
     if (d <= radius + entry.radius) {
       hits += RangeSearchNode(entry.child.get(), center, radius, d, filter,
                               pruned, exclude, dist, hit, spec, stats);
@@ -413,7 +483,6 @@ void MTree::RangeQueryBottomUp(ObjectId center, double radius,
   AccessStats* const stats = SinkOrStats(sink);
   ++stats->range_queries;
   const Point& q = dataset_.point(center);
-  const VirtualDistance dist{metric_};
   const AppendNeighbor hit{out};
   SpecState spec;
   spec.trace = trace;
@@ -424,40 +493,45 @@ void MTree::RangeQueryBottomUp(ObjectId center, double radius,
   // the root makes this exactly equivalent to the top-down query; with
   // stop_at_grey (Fast-C), the climb ends at the first all-grey ancestor,
   // deliberately accepting that whites in distant leaves are missed (§5.1).
-  Node* node = leaf_of_[center];
-  double d_node = node->pivot == kInvalidObject
-                      ? std::numeric_limits<double>::quiet_NaN()
-                      : DistanceToPoint(q, node->pivot, stats);
-  RangeSearchNode(node, q, radius, d_node, filter, pruned, center, dist, hit,
-                  spec_ptr, stats);
+  WithRangeDistance(metric_, dataset_, [&](const auto& dist) {
+    const Node* node = leaf_of_[center];
+    const double d_node = node->pivot == kInvalidObject
+                              ? std::numeric_limits<double>::quiet_NaN()
+                              : DistanceToPoint(q, node->pivot, stats);
+    RangeSearchNode(node, q, radius, d_node, filter, pruned, center, dist,
+                    hit, spec_ptr, stats);
 
-  while (node->parent != nullptr) {
-    Node* parent = node->parent;
-    if (stop_at_grey) {
-      // parent->white_count == 0 means the whole climbed-into subtree is
-      // grey. A break needs no trace entry: the counter can only fall
-      // further, so a later query would break too. A climb-past is a
-      // commitment the validation must re-check.
-      if (parent->white_count == 0) break;
-      if (trace != nullptr) trace->nodes.push_back(parent);
-    }
-    ++stats->node_accesses;  // reading the parent's entries
-    for (const RoutingEntry& entry : parent->children) {
-      if (entry.child.get() == node) continue;  // already covered below
-      if (pruned) {
-        if (entry.child->white_count == 0) continue;
-        // No geometric shortcut on this path — the pivot distance is
-        // computed right away, so the gate goes straight into the trace.
-        if (trace != nullptr) trace->nodes.push_back(entry.child.get());
+    const size_t dim = dataset_.dim();
+    while (node->parent != nullptr) {
+      const Node* parent = node->parent;
+      if (stop_at_grey) {
+        // parent->white_count == 0 means the whole climbed-into subtree is
+        // grey. A break needs no trace entry: the counter can only fall
+        // further, so a later query would break too. A climb-past is a
+        // commitment the validation must re-check.
+        if (parent->white_count == 0) break;
+        if (trace != nullptr) trace->nodes.push_back(parent);
       }
-      double d = DistanceToPoint(q, entry.pivot, stats);
-      if (d <= radius + entry.radius) {
-        RangeSearchNode(entry.child.get(), q, radius, d, filter, pruned,
-                        center, dist, hit, spec_ptr, stats);
+      ++stats->node_accesses;  // reading the parent's entries
+      for (size_t k = 0; k < parent->children.size(); ++k) {
+        const RoutingEntry& entry = parent->children[k];
+        if (entry.child.get() == node) continue;  // already covered below
+        if (pruned) {
+          if (entry.child->white_count == 0) continue;
+          // No geometric shortcut on this path — the pivot distance is
+          // computed right away, so the gate goes straight into the trace.
+          if (trace != nullptr) trace->nodes.push_back(entry.child.get());
+        }
+        ++stats->distance_computations;
+        const double d = dist(q, parent->coords.data() + k * dim, entry.pivot);
+        if (d <= radius + entry.radius) {
+          RangeSearchNode(entry.child.get(), q, radius, d, filter, pruned,
+                          center, dist, hit, spec_ptr, stats);
+        }
       }
+      node = parent;
     }
-    node = parent;
-  }
+  });
 }
 
 bool MTree::SpeculationValid(const QueryTrace& trace) const {
@@ -750,6 +824,23 @@ Status MTree::ValidateNode(const Node* node, size_t depth, size_t leaf_depth,
   }
   if (entries > options_.node_capacity) {
     return Status::Corruption("node exceeds capacity");
+  }
+  // The packed coordinate block mirrors the entries' objects or pivots.
+  const size_t dim = dataset_.dim();
+  if (node->coords.size() != entries * dim) {
+    return Status::Corruption(
+        "coordinate block holds " + std::to_string(node->coords.size()) +
+        " values for " + std::to_string(entries) + " entries of dim " +
+        std::to_string(dim));
+  }
+  for (size_t k = 0; k < entries; ++k) {
+    const ObjectId id =
+        node->is_leaf ? node->objects[k].object : node->children[k].pivot;
+    if (std::memcmp(node->coords.data() + k * dim,
+                    dataset_.point(id).data(), dim * sizeof(double)) != 0) {
+      return Status::Corruption("coordinate block entry " + std::to_string(k) +
+                                " differs from object " + std::to_string(id));
+    }
   }
   if (node->is_leaf) {
     if (depth != leaf_depth) {

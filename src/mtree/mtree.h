@@ -16,6 +16,12 @@
 //  * white-neighborhood-size computation during build or as a post pass,
 //  * four node-splitting policies spanning the fat-factor range of Figure 10,
 //  * the fat-factor measure of tree quality (Traina et al.).
+//
+// Every node keeps its entries' coordinates packed in entry order, and every
+// range search scans a leaf in blocks: it compacts the entries that survive
+// the exclude, white and parent-distance filters, charges them, then
+// evaluates exactly those — with the built-in metrics' kernels inlined over
+// the packed block (mtree_internal.h, mtree.cc).
 
 #ifndef DISC_MTREE_MTREE_H_
 #define DISC_MTREE_MTREE_H_
@@ -202,14 +208,14 @@ class MTree {
   /// over the complete tree (the baseline the build-time variant beats).
   /// The queries are count-only: each is the range search of
   /// RangeQueryAround(id, radius, kAll, /*pruned=*/false) — the same visits,
-  /// filters and charges — with a count in place of the neighbor list. For
-  /// the four built-in metrics the distance kernel is inlined (picked by
-  /// exact dynamic type); any other metric is called through
-  /// DistanceMetric::Distance once per charged computation. Chunks of the
-  /// object range run on `pool` (in order on the calling thread for a null
-  /// or 1-thread pool), each under a private AccessStats that is added to
-  /// `sink` (null: stats()) in chunk order, so counts and stats totals are
-  /// identical for every thread count.
+  /// filters and charges — with a count in place of the neighbor list. Like
+  /// every range search, it inlines the distance kernel for the four
+  /// built-in metrics (picked by exact dynamic type) and calls any other
+  /// metric through DistanceMetric::Distance once per charged computation.
+  /// Chunks of the object range run on `pool` (in order on the calling
+  /// thread for a null or 1-thread pool), each under a private AccessStats
+  /// that is added to `sink` (null: stats()) in chunk order, so counts and
+  /// stats totals are identical for every thread count.
   void ComputeNeighborCountsPostBuild(double radius,
                                       std::vector<uint32_t>* counts,
                                       ThreadPool* pool = nullptr,
@@ -376,7 +382,8 @@ class MTree {
   double FatFactor() const;
 
   /// Checks every structural invariant (entry counts, covering radii,
-  /// parent distances, leaf chain, white counters, object->leaf map).
+  /// parent distances, leaf chain, white counters, object->leaf map, and
+  /// each node's packed coordinates against the dataset).
   /// Intended for tests; returns the first violation found.
   Status Validate() const;
 
@@ -397,10 +404,11 @@ class MTree {
   void Insert(ObjectId id);
   void SplitNode(Node* node);
   // The one recursive range search: visits `node`, whose pivot lies at
-  // `dist_to_pivot` from `center` (NaN when unknown), applies the filters,
-  // charges every access to `stats`, measures with `dist(a, b)`, calls
-  // `hit(id, d)` for each reported object other than `exclude` and returns
-  // how many it reported.
+  // `dist_to_pivot` from `center` (NaN when unknown), applies the filters
+  // (`exclude` is never evaluated), charges every access to `stats`,
+  // measures with `dist(center, coords, id)` on the node's packed
+  // coordinates, hands each leaf block's evaluated objects and distances to
+  // `hit`, which keeps the in-ball ones, and returns how many it kept.
   template <typename Dist, typename Hit>
   uint32_t RangeSearchNode(const Node* node, const Point& center, double radius,
                            double dist_to_pivot, QueryFilter filter,

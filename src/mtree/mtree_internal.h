@@ -56,6 +56,15 @@ struct MTree::Node {
   std::vector<RoutingEntry> children;  // internal nodes only
   std::vector<LeafEntry> objects;      // leaf nodes only
 
+  /// Packed coordinates of the entries, in entry order: a leaf's block holds
+  /// objects[k]'s coordinates at k*dim, an internal node's block holds
+  /// children[k].pivot's. Range searches read distances' second operand from
+  /// here instead of chasing each object's Point, so every mutation of
+  /// `objects` or `children` (bulk load, Insert, SplitNode, new roots) keeps
+  /// the block in step. Costs size()*dim doubles per node: about
+  /// n*dim*8 bytes over the leaves (320 KB at n=20k, dim=2).
+  std::vector<double> coords;
+
   // Leaf chain (§5: "we link together all leaf nodes").
   Node* next_leaf = nullptr;
   Node* prev_leaf = nullptr;
@@ -65,6 +74,11 @@ struct MTree::Node {
   uint32_t white_count = 0;
 
   size_t size() const { return is_leaf ? objects.size() : children.size(); }
+
+  /// Appends `p` as the block's next entry.
+  void AppendCoords(const Point& p) {
+    coords.insert(coords.end(), p.data(), p.data() + p.dim());
+  }
 };
 
 }  // namespace disc

@@ -150,11 +150,13 @@ void MTree::SplitNode(Node* node) {
   if (is_leaf) {
     std::vector<LeafEntry> entries = std::move(node->objects);
     node->objects.clear();
+    node->coords.clear();
     uint32_t white_a = 0, white_b = 0;
     for (size_t i = 0; i < count; ++i) {
       Node* target = to_a[i] ? node : sib;
       double pd = to_a[i] ? da[i] : db[i];
       target->objects.push_back(LeafEntry{entries[i].object, pd});
+      target->AppendCoords(dataset_.point(entries[i].object));
       leaf_of_[entries[i].object] = target;
       bool white =
           colors_.empty() || colors_[entries[i].object] == Color::kWhite;
@@ -172,6 +174,7 @@ void MTree::SplitNode(Node* node) {
   } else {
     std::vector<RoutingEntry> entries = std::move(node->children);
     node->children.clear();
+    node->coords.clear();
     uint32_t white_a = 0, white_b = 0;
     for (size_t i = 0; i < count; ++i) {
       Node* target = to_a[i] ? node : sib;
@@ -182,6 +185,7 @@ void MTree::SplitNode(Node* node) {
       (to_a[i] ? white_a : white_b) += entries[i].child->white_count;
       entries[i].parent_dist = pd;
       entries[i].child->parent = target;
+      target->AppendCoords(dataset_.point(entries[i].pivot));
       target->children.push_back(std::move(entries[i]));
     }
     node->white_count = white_a;
@@ -206,6 +210,8 @@ void MTree::SplitNode(Node* node) {
         RoutingEntry{pivot_a, radius_a, 0.0, std::move(old_root)});
     new_root->children.push_back(
         RoutingEntry{pivot_b, radius_b, 0.0, std::move(sibling)});
+    new_root->AppendCoords(dataset_.point(pivot_a));
+    new_root->AppendCoords(dataset_.point(pivot_b));
     root_ = std::move(new_root);
     return;
   }
@@ -234,6 +240,15 @@ void MTree::SplitNode(Node* node) {
   entry_b.child = std::move(sibling);
   parent->children.insert(parent->children.begin() + slot + 1,
                           std::move(entry_b));
+  // Keep the parent's coordinate block in step: slot now routes through
+  // pivot_a, and pivot_b's coordinates go in right after it.
+  const size_t dim = dataset_.dim();
+  const Point& coords_a = dataset_.point(pivot_a);
+  const Point& coords_b = dataset_.point(pivot_b);
+  std::copy(coords_a.data(), coords_a.data() + dim,
+            parent->coords.begin() + slot * dim);
+  parent->coords.insert(parent->coords.begin() + (slot + 1) * dim,
+                        coords_b.data(), coords_b.data() + dim);
 
   if (parent->children.size() > options_.node_capacity) {
     SplitNode(parent);

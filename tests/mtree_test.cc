@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -642,6 +643,123 @@ TEST(MTreeCountsTest, WrapperMetricKeepsTheVirtualCall) {
   EXPECT_EQ(counting.calls() - calls_before,
             tree.stats().distance_computations);
 }
+
+// Every range-search kind over a wrapper metric: the wrapper sees exactly
+// one virtual call per charged distance computation, and the queries return
+// what the built-in metric's tree returns — same ids in the same order,
+// bit-equal distances, same AccessStats. Capacities 2 to 200 put leaves on
+// both sides of the leaf scan's 64-entry block boundary.
+using AccountingParam = std::tuple<size_t, size_t>;  // (capacity, dim)
+
+class MTreeWrapperAccountingTest
+    : public ::testing::TestWithParam<AccountingParam> {};
+
+std::vector<std::pair<ObjectId, uint64_t>> Bits(
+    const std::vector<Neighbor>& neighbors) {
+  std::vector<std::pair<ObjectId, uint64_t>> bits;
+  bits.reserve(neighbors.size());
+  for (const Neighbor& nb : neighbors) {
+    bits.emplace_back(nb.id, std::bit_cast<uint64_t>(nb.dist));
+  }
+  return bits;
+}
+
+std::string AccountingParamName(
+    const ::testing::TestParamInfo<AccountingParam>& info) {
+  const auto [capacity, dim] = info.param;
+  return "capacity" + std::to_string(capacity) + "_dim" + std::to_string(dim);
+}
+
+TEST_P(MTreeWrapperAccountingTest, EveryQueryKindMatchesTheBuiltInMetric) {
+  const auto [capacity, dim] = GetParam();
+  const Dataset d = MakeClusteredDataset(1500, dim, 83);
+  const double radius = dim == 2 ? 0.06 : 0.3;
+  MTreeOptions options;
+  options.node_capacity = capacity;
+  EuclideanMetric plain;
+  CountingMetric counting(plain);
+  MTree plain_tree(d, plain, options);
+  MTree tree(d, counting, options);
+  ASSERT_TRUE(plain_tree.Build().ok());
+  ASSERT_TRUE(tree.Build().ok());
+  ASSERT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
+  const std::vector<ObjectId> order = tree.LeafOrder();
+  ASSERT_EQ(order, plain_tree.LeafOrder());
+  for (size_t i = 0; i < order.size() / 2; ++i) {
+    tree.SetColor(order[i], Color::kGrey);
+    plain_tree.SetColor(order[i], Color::kGrey);
+  }
+
+  // Runs `query(tree, out, trace)` on both trees and compares everything
+  // it can observe.
+  uint64_t hits = 0;
+  auto expect_same = [&](const std::string& what, const auto& query) {
+    plain_tree.ResetStats();
+    tree.ResetStats();
+    std::vector<Neighbor> expected, found;
+    MTree::QueryTrace expected_trace, found_trace;
+    query(plain_tree, &expected, &expected_trace);
+    const uint64_t calls_before = counting.calls();
+    query(tree, &found, &found_trace);
+    EXPECT_EQ(Bits(found), Bits(expected)) << what;
+    EXPECT_EQ(tree.stats(), plain_tree.stats()) << what;
+    EXPECT_EQ(counting.calls() - calls_before,
+              tree.stats().distance_computations)
+        << what;
+    EXPECT_EQ(found_trace.whites, expected_trace.whites) << what;
+    EXPECT_EQ(found_trace.nodes.size(), expected_trace.nodes.size()) << what;
+    hits += found.size();
+  };
+
+  for (ObjectId center = 0; center < d.size(); center += 97) {
+    const std::string at = " at " + std::to_string(center);
+    for (const bool white_only : {false, true}) {
+      const QueryFilter filter =
+          white_only ? QueryFilter::kWhiteOnly : QueryFilter::kAll;
+      const std::string mode = white_only ? " pruned white-only" : " kAll";
+      expect_same("RangeQuery" + mode + at, [&](MTree& t, auto* out, auto*) {
+        t.RangeQuery(d.point(center), radius, filter, white_only, out);
+      });
+      expect_same("RangeQueryAround" + mode + at,
+                  [&](MTree& t, auto* out, auto*) {
+                    t.RangeQueryAround(center, radius, filter, white_only,
+                                       out);
+                  });
+      expect_same("traced RangeQueryAround" + mode + at,
+                  [&](MTree& t, auto* out, auto* trace) {
+                    t.RangeQueryAround(center, radius, filter, white_only,
+                                       out, trace);
+                  });
+      for (const bool stop_at_grey : {false, true}) {
+        expect_same(std::string("RangeQueryBottomUp stop_at_grey=") +
+                        (stop_at_grey ? "on" : "off") + mode + at,
+                    [&](MTree& t, auto* out, auto* trace) {
+                      t.RangeQueryBottomUp(center, radius, filter, white_only,
+                                           stop_at_grey, out, trace);
+                    });
+      }
+    }
+  }
+  EXPECT_GT(hits, 0u);
+
+  plain_tree.ResetStats();
+  tree.ResetStats();
+  std::vector<uint32_t> expected_counts, counts;
+  plain_tree.ComputeNeighborCountsPostBuild(radius, &expected_counts);
+  const uint64_t calls_before = counting.calls();
+  tree.ComputeNeighborCountsPostBuild(radius, &counts);
+  EXPECT_EQ(counts, expected_counts);
+  EXPECT_EQ(tree.stats(), plain_tree.stats());
+  EXPECT_EQ(counting.calls() - calls_before,
+            tree.stats().distance_computations);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CapacitiesAndDims, MTreeWrapperAccountingTest,
+    ::testing::Combine(::testing::Values(size_t{2}, size_t{12}, size_t{50},
+                                         size_t{200}),
+                       ::testing::Values(size_t{2}, size_t{6})),
+    AccountingParamName);
 
 // The accounting convention shared by every query, Distance and the count
 // pass: a call with a sink charges the sink exactly what the same call
